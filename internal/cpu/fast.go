@@ -3,6 +3,7 @@ package cpu
 import (
 	"pmutrust/internal/isa"
 	"pmutrust/internal/program"
+	"pmutrust/internal/telemetry"
 )
 
 // Engine selects the execution engine for a run. Both engines are
@@ -47,7 +48,7 @@ func RunEngine(p *program.Program, cfg Config, mon Monitor, maxInstrs uint64, en
 // of internal/pmu. The Result-shaped classes (instructions, uops, taken
 // branches, conditional branches, mispredicts) are computed as deltas of
 // the engine's own run counters at flush time; the remaining classes cost
-// one increment in the already-dispatched opcode case of the full loop,
+// one increment in the already-dispatched opcode case of the stride loop,
 // so richer multiplexed counting (loads, stores, FP ops, call/ret pairs)
 // never forces the engine out of stride mode.
 type BulkCounts struct {
@@ -67,55 +68,6 @@ type BulkCounts struct {
 	FPOps uint64
 	// Calls and Rets count retired calls and returns.
 	Calls, Rets uint64
-}
-
-// BulkClass is a bitmask over the fields of BulkCounts. Monitors use it
-// (through BulkClassHinter) to declare which classes they actually read,
-// which lets RunFast pick a specialized stride loop that skips the
-// bookkeeping for every class the monitor ignores.
-type BulkClass uint16
-
-const (
-	// BulkInstrs selects BulkCounts.Instrs.
-	BulkInstrs BulkClass = 1 << iota
-	// BulkUops selects BulkCounts.Uops.
-	BulkUops
-	// BulkTakenBranches selects BulkCounts.TakenBranches.
-	BulkTakenBranches
-	// BulkCondBranches selects BulkCounts.CondBranches.
-	BulkCondBranches
-	// BulkMispredicts selects BulkCounts.Mispredicts.
-	BulkMispredicts
-	// BulkLoads selects BulkCounts.Loads.
-	BulkLoads
-	// BulkStores selects BulkCounts.Stores.
-	BulkStores
-	// BulkFPOps selects BulkCounts.FPOps.
-	BulkFPOps
-	// BulkCalls selects BulkCounts.Calls.
-	BulkCalls
-	// BulkRets selects BulkCounts.Rets.
-	BulkRets
-
-	// BulkAll selects every class — the conservative default for monitors
-	// that do not hint.
-	BulkAll BulkClass = 1<<10 - 1
-)
-
-// leanBulkClasses are the classes the lean stride loop materializes: the
-// ones the engine tracks for Result anyway, so their BulkCounts fields
-// are flush-time deltas with zero per-instruction cost.
-const leanBulkClasses = BulkInstrs | BulkUops | BulkTakenBranches | BulkCondBranches | BulkMispredicts
-
-// BulkClassHinter is an optional refinement of FastMonitor: a monitor
-// that implements it promises to read only the hinted BulkCounts fields
-// in BulkRetire — every other field may arrive as zero. The hint (and
-// WantBranches) must be constant over a run: RunFast consults both once
-// at setup to select a specialized loop. The PMU hints the class of its
-// configured event; the mux hints the union over its event set plus its
-// inner unit's hint.
-type BulkClassHinter interface {
-	BulkClasses() BulkClass
 }
 
 // FastMonitor is the bulk-advance contract a Monitor may implement to let
@@ -176,68 +128,14 @@ func (NopMonitor) OnFastBranch(from, to uint32, op isa.Op) {}
 // BulkRetire implements FastMonitor.
 func (NopMonitor) BulkRetire(c BulkCounts) {}
 
-// BulkClasses implements BulkClassHinter: a NopMonitor reads nothing.
-func (NopMonitor) BulkClasses() BulkClass { return 0 }
-
-// Variant identifies which specialized execution loop RunFast selects for
-// a monitor. The variants differ only in which bookkeeping they elide —
-// every observable (Result, event stream, bulk totals, branch stream,
-// error text) is bit-identical across all of them and the interpreter;
-// the differential harness runs its full battery against each.
-type Variant uint8
-
-const (
-	// VariantFull is the fully general stride loop: per-class bulk
-	// accumulation and the OnFastBranch stream. Selected for any
-	// FastMonitor that wants branches, reads classes beyond the
-	// Result-shaped set, or does not hint.
-	VariantFull Variant = iota
-	// VariantLean is the counting-only loop: no branch stream, and every
-	// bulk class the monitor reads is a flush-time delta of the engine's
-	// own run counters — the stride body carries no monitor bookkeeping
-	// at all. Selected for hinting monitors whose classes fit the
-	// Result-shaped set (a sampling PMU on a Result-shaped event, a mux
-	// over Result-shaped events with a conforming or absent inner unit).
-	VariantLean
-	// VariantNop is the monitor-free loop: no headroom protocol, no
-	// flushes, no streams. Selected for NopMonitor (timing-only runs).
-	VariantNop
-	// VariantInterp marks a monitor with no FastMonitor implementation:
-	// RunFast falls back to the reference interpreter.
-	VariantInterp
-)
-
-// String returns the variant name used by tests and diagnostics.
-func (v Variant) String() string {
-	switch v {
-	case VariantFull:
-		return "full"
-	case VariantLean:
-		return "lean"
-	case VariantNop:
-		return "nop"
-	case VariantInterp:
-		return "interp"
-	default:
-		return "unknown"
+// FastVariant reports the execution path RunFast takes for mon: the
+// stride loop for a FastMonitor, the reference interpreter for any other
+// monitor. Telemetry counts runs by it.
+func FastVariant(mon Monitor) telemetry.Variant {
+	if _, ok := mon.(FastMonitor); ok {
+		return telemetry.VariantFull
 	}
-}
-
-// FastVariant reports the specialized loop RunFast will select for mon.
-// Exported so the differential suites can prove they cover every variant.
-func FastVariant(mon Monitor) Variant {
-	fm, ok := mon.(FastMonitor)
-	if !ok {
-		return VariantInterp
-	}
-	if _, ok := fm.(NopMonitor); ok {
-		return VariantNop
-	}
-	if h, ok := fm.(BulkClassHinter); ok &&
-		!fm.WantBranches() && h.BulkClasses()&^leanBulkClasses == 0 {
-		return VariantLean
-	}
-	return VariantFull
+	return telemetry.VariantInterp
 }
 
 // Decoded-instruction flag bits (fastInstr.fl), used by the generic
@@ -276,7 +174,7 @@ type fastInstr struct {
 // terminators — exactly the cases the specialized switch handles.
 // Decode-time fused superinstructions: a cmp/cmpi whose immediate
 // successor is a conditional branch that no control transfer targets
-// (reachable only by falling out of the compare). The stride loops execute
+// (reachable only by falling out of the compare). The stride loop executes
 // the pair in one dispatch, halving loop overhead on it; event mode
 // executes the head as its plain compare and the branch as itself. The
 // values sit directly after the ISA opcodes so the dispatch switches stay
@@ -462,7 +360,7 @@ func decodeProgram(p *program.Program) []fastInstr {
 
 // regState is one architectural register's simulation state: its value and
 // the cycle its last writer completes. Interleaving the two halves the
-// cache lines the stride loops touch per operand.
+// cache lines the stride loop touches per operand.
 type regState struct {
 	val   int64
 	ready uint64
@@ -481,11 +379,11 @@ func fastMem(p *program.Program) []int64 {
 }
 
 // predictUpdate is predict and update fused into one table access, used
-// by the fast engine's stride loops (the interpreter keeps the two-step
+// by the fast engine's stride loop (the interpreter keeps the two-step
 // form; semantics are identical and the differential harness proves it).
 func (pr *predictor) predictUpdate(pc uint32, taken bool) bool {
 	// Mask against len(t)-1 (== pr.mask by construction in init) so the
-	// prove pass elides the table bounds checks in the inlined hot loops;
+	// prove pass elides the table bounds checks in the inlined hot loop;
 	// the impossible empty-table guard gives it the len ≥ 1 fact it needs.
 	t := pr.table
 	if len(t) == 0 {
@@ -517,17 +415,13 @@ func (pr *predictor) predictUpdate(pc uint32, taken bool) bool {
 // counter within one block of overflow, armed PEBS capture window, pending
 // imprecise PMI or displaced IBS tag).
 //
-// The loop itself is specialized to the monitor's shape at setup (see
-// Variant and FastVariant): NopMonitor runs a monitor-free loop,
-// counting-only monitors whose bulk classes fit the Result-shaped set run
-// a loop whose stride body carries no monitor bookkeeping at all, and
-// everything else runs the fully general loop. Interface dispatch on the
-// monitor therefore never appears inside a stride — only at flush
-// boundaries and in event mode.
+// Inside a stride the monitor is called only for the taken-branch stream,
+// and only when it asks for one; every other monitor call happens at a
+// flush boundary or in event mode.
 //
 // Functional semantics, the timing model, Result, the sample stream and
-// error text are bit-identical to Run across every variant; the
-// differential harness in this package and internal/sampling enforces it.
+// error text are bit-identical to Run; the differential harness in this
+// package and internal/sampling enforces it.
 // Opcodes must be valid and register indices < isa.NumRegs —
 // program.Validate checks both, and Build never produces anything else.
 // The contract holds for validated programs only: on unvalidated garbage
@@ -541,16 +435,11 @@ func RunFast(p *program.Program, cfg Config, mon Monitor, maxInstrs uint64) (Res
 	if maxInstrs == 0 {
 		maxInstrs = 1 << 40
 	}
-	switch FastVariant(mon) {
-	case VariantInterp:
+	fm, ok := mon.(FastMonitor)
+	if !ok {
 		return Run(p, cfg, mon, maxInstrs)
-	case VariantNop:
-		return runFastNop(p, cfg, maxInstrs)
-	case VariantLean:
-		return runFastLean(p, cfg, mon.(FastMonitor), maxInstrs)
-	default:
-		return runFastFull(p, cfg, mon.(FastMonitor), maxInstrs)
 	}
+	return runFast(p, cfg, fm, maxInstrs)
 }
 
 // fastResult folds the hoisted counters back into a Result.

@@ -7,12 +7,12 @@ import (
 	"pmutrust/internal/program"
 )
 
-// runFastFull is the fully general specialized loop: it serves any
-// FastMonitor — branch streams, every bulk class, adversarial headroom
-// schedules. The Result-shaped bulk classes are flush-time deltas of the
-// run counters; only the classes Result does not track (loads, stores,
-// FP ops, calls, rets) cost an increment in the stride body.
-func runFastFull(p *program.Program, cfg Config, fm FastMonitor, maxInstrs uint64) (Result, error) {
+// runFast is the fast engine's stride loop: it serves any FastMonitor —
+// branch streams, every bulk class, adversarial headroom schedules. The
+// Result-shaped bulk classes are flush-time deltas of the run counters;
+// only the classes Result does not track (loads, stores, FP ops, calls,
+// rets) cost an increment in the stride body.
+func runFast(p *program.Program, cfg Config, fm FastMonitor, maxInstrs uint64) (Result, error) {
 	code := decodeProgram(p)
 	recordFused(fm, code)
 

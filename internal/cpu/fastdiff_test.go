@@ -23,6 +23,7 @@ import (
 	"pmutrust/internal/isa"
 	"pmutrust/internal/pmu"
 	"pmutrust/internal/program"
+	"pmutrust/internal/telemetry"
 	"pmutrust/internal/workloads"
 )
 
@@ -55,6 +56,8 @@ type mixRecorder struct {
 	grants   int
 	instrs   uint64 // bulk + event instructions
 	uops     uint64
+	cond     uint64
+	mispred  uint64
 	branches uint64
 	brStream []uint32 // OnFastBranch froms + event-mode taken froms
 }
@@ -62,6 +65,13 @@ type mixRecorder struct {
 func (r *mixRecorder) OnRetire(ev cpu.RetireEvent) {
 	r.instrs++
 	r.uops += uint64(ev.Uops)
+	if ev.Mispred {
+		r.mispred++
+	}
+	switch ev.Op {
+	case isa.OpJz, isa.OpJnz, isa.OpJlt, isa.OpJge:
+		r.cond++
+	}
 	if ev.Taken {
 		r.branches++
 		r.brStream = append(r.brStream, ev.Idx)
@@ -85,72 +95,8 @@ func (r *mixRecorder) OnFastBranch(from, to uint32, op isa.Op) {
 func (r *mixRecorder) BulkRetire(c cpu.BulkCounts) {
 	r.instrs += c.Instrs
 	r.uops += c.Uops
-}
-
-// leanStreamRecorder is the lean-classified twin of streamRecorder: it
-// hints only Result-shaped bulk classes and wants no branch stream, so
-// RunFast selects the lean loop; zero headroom then forces the lean
-// event-mode path, whose stream must match the interpreter's too.
-type leanStreamRecorder struct {
-	evs []cpu.RetireEvent
-}
-
-func (r *leanStreamRecorder) OnRetire(ev cpu.RetireEvent)             { r.evs = append(r.evs, ev) }
-func (r *leanStreamRecorder) FastHeadroom() uint64                    { return 0 }
-func (r *leanStreamRecorder) WantBranches() bool                      { return false }
-func (r *leanStreamRecorder) OnFastBranch(from, to uint32, op isa.Op) {}
-func (r *leanStreamRecorder) BulkRetire(c cpu.BulkCounts)             {}
-func (r *leanStreamRecorder) BulkClasses() cpu.BulkClass {
-	return cpu.BulkInstrs | cpu.BulkUops | cpu.BulkTakenBranches
-}
-
-// leanMixRecorder drives the lean loop through adversarial stride/event
-// transitions, accumulating totals from both delivery paths.
-type leanMixRecorder struct {
-	schedule []uint64
-	pos      int
-	instrs   uint64
-	uops     uint64
-	taken    uint64
-	cond     uint64
-	mispred  uint64
-}
-
-func (r *leanMixRecorder) OnRetire(ev cpu.RetireEvent) {
-	r.instrs++
-	r.uops += uint64(ev.Uops)
-	if ev.Taken {
-		r.taken++
-	}
-	if ev.Mispred {
-		r.mispred++
-	}
-	switch ev.Op {
-	case isa.OpJz, isa.OpJnz, isa.OpJlt, isa.OpJge:
-		r.cond++
-	}
-}
-
-func (r *leanMixRecorder) FastHeadroom() uint64 {
-	h := r.schedule[r.pos%len(r.schedule)]
-	r.pos++
-	return h
-}
-
-func (r *leanMixRecorder) WantBranches() bool                      { return false }
-func (r *leanMixRecorder) OnFastBranch(from, to uint32, op isa.Op) {}
-
-func (r *leanMixRecorder) BulkRetire(c cpu.BulkCounts) {
-	r.instrs += c.Instrs
-	r.uops += c.Uops
-	r.taken += c.TakenBranches
 	r.cond += c.CondBranches
 	r.mispred += c.Mispredicts
-}
-
-func (r *leanMixRecorder) BulkClasses() cpu.BulkClass {
-	return cpu.BulkInstrs | cpu.BulkUops | cpu.BulkTakenBranches |
-		cpu.BulkCondBranches | cpu.BulkMispredicts
 }
 
 // diffResults compares the two engines' Result structs.
@@ -360,9 +306,11 @@ func diffProgram(p *program.Program, maxInstrs uint64) string {
 		if err := diffResults(ri, rm); err != nil {
 			return fmt.Sprintf("mix schedule %v: %v", schedule, err)
 		}
-		if mr.instrs != ri.Instructions || mr.uops != ri.Uops || mr.branches != ri.TakenBranches {
-			return fmt.Sprintf("mix schedule %v: monitor totals diverge: instrs %d/%d uops %d/%d branches %d/%d",
-				schedule, mr.instrs, ri.Instructions, mr.uops, ri.Uops, mr.branches, ri.TakenBranches)
+		if mr.instrs != ri.Instructions || mr.uops != ri.Uops || mr.branches != ri.TakenBranches ||
+			mr.cond != ri.CondBranches || mr.mispred != ri.Mispredicts {
+			return fmt.Sprintf("mix schedule %v: monitor totals diverge: instrs %d/%d uops %d/%d branches %d/%d cond %d/%d mispred %d/%d",
+				schedule, mr.instrs, ri.Instructions, mr.uops, ri.Uops, mr.branches, ri.TakenBranches,
+				mr.cond, ri.CondBranches, mr.mispred, ri.Mispredicts)
 		}
 		// The taken-branch stream must arrive in retirement order
 		// regardless of which path delivered each branch.
@@ -380,51 +328,14 @@ func diffProgram(p *program.Program, maxInstrs uint64) string {
 		}
 	}
 
-	// Lean variant, forced event mode: the counting-only loop's
-	// per-instruction path must deliver the identical stream.
-	lsr := &leanStreamRecorder{}
-	rl, errl := cpu.RunFast(p, cpuCfg, lsr, streamCap)
-	if err := diffErrs(erri, errl); err != nil {
-		return "lean event mode: " + err.Error()
-	}
-	if err := diffResults(ri, rl); err != nil {
-		return "lean event mode: " + err.Error()
-	}
-	if err := diffStreams(ir.evs, lsr.evs); err != nil {
-		return "lean event mode: " + err.Error()
-	}
-
-	// Lean variant, adversarial stride schedules: flush-time deltas plus
-	// event-mode stretches must reproduce the interpreter's totals.
-	for _, schedule := range [][]uint64{
-		{1 << 40},
-		{1, 0, 2, 0, 3, 7},
-		{0, 0, 5, 1, 0, 1000},
-	} {
-		lm := &leanMixRecorder{schedule: schedule}
-		rm, errm := cpu.RunFast(p, cpuCfg, lm, streamCap)
-		if err := diffErrs(erri, errm); err != nil {
-			return fmt.Sprintf("lean mix schedule %v: %v", schedule, err)
-		}
-		if err := diffResults(ri, rm); err != nil {
-			return fmt.Sprintf("lean mix schedule %v: %v", schedule, err)
-		}
-		if lm.instrs != ri.Instructions || lm.uops != ri.Uops || lm.taken != ri.TakenBranches ||
-			lm.cond != ri.CondBranches || lm.mispred != ri.Mispredicts {
-			return fmt.Sprintf("lean mix schedule %v: monitor totals diverge: instrs %d/%d uops %d/%d taken %d/%d cond %d/%d mispred %d/%d",
-				schedule, lm.instrs, ri.Instructions, lm.uops, ri.Uops,
-				lm.taken, ri.TakenBranches, lm.cond, ri.CondBranches, lm.mispred, ri.Mispredicts)
-		}
-	}
-
-	// Nop variant: the monitor-free loop has no monitor observables, but
-	// its Result and error must still be bit-identical.
+	// NopMonitor: one unbounded grant and no monitor observables, but its
+	// Result and error must still be bit-identical.
 	rn, errn := cpu.RunFast(p, cpuCfg, cpu.NopMonitor{}, streamCap)
 	if err := diffErrs(erri, errn); err != nil {
-		return "nop variant: " + err.Error()
+		return "NopMonitor: " + err.Error()
 	}
 	if err := diffResults(ri, rn); err != nil {
-		return "nop variant: " + err.Error()
+		return "NopMonitor: " + err.Error()
 	}
 
 	// PMU configurations: sample-stream equality. Tiny periods sample
@@ -508,7 +419,9 @@ func TestEnginesMatchMaxInstrs(t *testing.T) {
 }
 
 // TestEnginesMatchRunErrors: engine errors (call stack overflow, empty
-// ret) carry identical text on both paths.
+// ret) carry identical text and partial Results on every path: event
+// mode, and a stride with the branch stream (mixRecorder) and without it
+// (NopMonitor's single grant).
 func TestEnginesMatchRunErrors(t *testing.T) {
 	deep := program.NewBuilder("deep")
 	main := deep.Func("main")
@@ -517,19 +430,34 @@ func TestEnginesMatchRunErrors(t *testing.T) {
 	f := deep.Func("f")
 	f.Block("body").Call("f") // unbounded recursion
 	f.Block("exit").Ret()
-	p, err := deep.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := program.NewBuilder("empty")
+	entry := empty.Func("main")
+	entry.Block("body").Movi(1, 1).Ret() // nothing to return to
+	entry.Block("exit").Halt()
 	cfg := cpu.DefaultConfig()
 	cfg.MaxCallDepth = 16
-	_, erri := cpu.Run(p, cfg, &interpRecorder{}, 0)
-	_, errf := cpu.RunFast(p, cfg, &streamRecorder{}, 0)
-	if erri == nil || errf == nil {
-		t.Fatalf("expected overflow errors, got interp=%v fast=%v", erri, errf)
-	}
-	if err := diffErrs(erri, errf); err != nil {
-		t.Fatal(err)
+	for _, b := range []*program.Builder{deep, empty} {
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ri, erri := cpu.Run(p, cfg, &interpRecorder{}, 0)
+		if erri == nil {
+			t.Fatalf("%s: expected an interpreter error", p.Name)
+		}
+		for _, mon := range []cpu.Monitor{
+			&streamRecorder{},
+			&mixRecorder{schedule: []uint64{1 << 40}},
+			cpu.NopMonitor{},
+		} {
+			rf, errf := cpu.RunFast(p, cfg, mon, 0)
+			if err := diffErrs(erri, errf); err != nil {
+				t.Fatalf("%s under %T: %v", p.Name, mon, err)
+			}
+			if err := diffResults(ri, rf); err != nil {
+				t.Fatalf("%s under %T: %v", p.Name, mon, err)
+			}
+		}
 	}
 }
 
@@ -563,49 +491,34 @@ func TestFuzzEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestDiffBatteryCoversAllVariants pins the variant classification of
-// every monitor shape the differential battery drives through RunFast:
-// the fuzz battery only proves what it covers, so the covered set must
-// provably span all three specialized loops plus the interpreter
-// fallback. If a classification rule changes and silently reroutes a
-// battery monitor to a different loop, this test fails before the
-// coverage gap can hide.
+// TestDiffBatteryCoversAllVariants pins the path RunFast takes for every
+// monitor shape the differential battery drives: the fuzz battery only
+// proves what it covers, so the covered set must provably span the
+// stride loop and the interpreter fallback. If a rule changes and
+// silently reroutes a battery monitor to the interpreter, this test
+// fails before the coverage gap can hide.
 func TestDiffBatteryCoversAllVariants(t *testing.T) {
 	type entry struct {
 		name string
 		mon  cpu.Monitor
-		want cpu.Variant
+		want telemetry.Variant
 	}
 	entries := []entry{
-		{"interpRecorder", &interpRecorder{}, cpu.VariantInterp},
-		{"streamRecorder", &streamRecorder{}, cpu.VariantFull},
-		{"mixRecorder", &mixRecorder{schedule: []uint64{1}}, cpu.VariantFull},
-		{"leanStreamRecorder", &leanStreamRecorder{}, cpu.VariantLean},
-		{"leanMixRecorder", &leanMixRecorder{schedule: []uint64{1}}, cpu.VariantLean},
-		{"NopMonitor", cpu.NopMonitor{}, cpu.VariantNop},
+		{"interpRecorder", &interpRecorder{}, telemetry.VariantInterp},
+		{"streamRecorder", &streamRecorder{}, telemetry.VariantFull},
+		{"mixRecorder", &mixRecorder{schedule: []uint64{1}}, telemetry.VariantFull},
+		{"NopMonitor", cpu.NopMonitor{}, telemetry.VariantFull},
 	}
-	// The PMU grid must exercise both the lean loop (counting-shaped
-	// events, no LBR) and the full loop (LBR capture wants the branch
-	// stream).
+	// Every PMU and mux configuration of the grids takes the stride loop,
+	// with and without the LBR branch stream.
 	for i, cfg := range pmuConfigGrid(7) {
-		want := cpu.VariantLean
-		if cfg.CaptureLBR {
-			want = cpu.VariantFull
-		}
-		entries = append(entries, entry{fmt.Sprintf("pmu[%d]", i), pmu.New(cfg), want})
+		entries = append(entries, entry{fmt.Sprintf("pmu[%d]", i), pmu.New(cfg), telemetry.VariantFull})
 	}
-	// Mux monitors hint the union over their event set: the three-event
-	// grid config counts only Result-shaped classes and stays lean, the
-	// rest count loads/stores/FP/call-ret and need the full loop.
 	cpuCfg := cpu.DefaultConfig()
 	for i, cfg := range muxConfigGrid(cpuCfg) {
-		want := cpu.VariantFull
-		if i == 0 {
-			want = cpu.VariantLean
-		}
-		entries = append(entries, entry{fmt.Sprintf("mux[%d]", i), pmu.NewMux(cfg, nil), want})
+		entries = append(entries, entry{fmt.Sprintf("mux[%d]", i), pmu.NewMux(cfg, nil), telemetry.VariantFull})
 	}
-	covered := map[cpu.Variant]bool{}
+	covered := map[telemetry.Variant]bool{}
 	for _, e := range entries {
 		got := cpu.FastVariant(e.mon)
 		if got != e.want {
@@ -613,10 +526,104 @@ func TestDiffBatteryCoversAllVariants(t *testing.T) {
 		}
 		covered[got] = true
 	}
-	for _, v := range []cpu.Variant{cpu.VariantInterp, cpu.VariantNop, cpu.VariantLean, cpu.VariantFull} {
+	for _, v := range []telemetry.Variant{telemetry.VariantInterp, telemetry.VariantFull} {
 		if !covered[v] {
 			t.Errorf("differential battery covers no %v monitor", v)
 		}
+	}
+}
+
+// bulkRecorder sums every BulkCounts field it is handed. Its unlimited
+// headroom keeps a halting run in stride mode end to end.
+type bulkRecorder struct {
+	sum cpu.BulkCounts
+}
+
+func (r *bulkRecorder) OnRetire(ev cpu.RetireEvent)             {}
+func (r *bulkRecorder) FastHeadroom() uint64                    { return 1 << 40 }
+func (r *bulkRecorder) WantBranches() bool                      { return false }
+func (r *bulkRecorder) OnFastBranch(from, to uint32, op isa.Op) {}
+
+func (r *bulkRecorder) BulkRetire(c cpu.BulkCounts) {
+	r.sum.Instrs += c.Instrs
+	r.sum.Uops += c.Uops
+	r.sum.TakenBranches += c.TakenBranches
+	r.sum.CondBranches += c.CondBranches
+	r.sum.Mispredicts += c.Mispredicts
+	r.sum.Loads += c.Loads
+	r.sum.Stores += c.Stores
+	r.sum.FPOps += c.FPOps
+	r.sum.Calls += c.Calls
+	r.sum.Rets += c.Rets
+}
+
+// TestBulkCountsMatchInterp: a single stride's BulkCounts carry every
+// class, not only the Result-shaped ones the Result comparison sees. The
+// program retires loads, stores, FP ops, calls and returns both as plain
+// instructions and inside fused pairs, with register and immediate
+// compares (fused forms the -short fuzz battery rarely builds), and
+// passes the whole differential battery first; a monitor summing every
+// BulkCounts field must then see the interpreter's totals.
+func TestBulkCountsMatchInterp(t *testing.T) {
+	b := program.NewBuilder("classes")
+	b.SetMemWords(64)
+	main := b.Func("main")
+	main.Block("entry").Movi(1, 0).Movi(2, 3).Movi(10, 50)
+	main.Block("loop").Call("work")
+	main.Block("next").Addi(1, 1, 1).Cmp(1, 10).Jlt("loop")
+	main.Block("exit").Halt()
+	work := b.Func("work")
+	work.Block("body").
+		Load(3, 1, 0).Fadd(4, 3, 2). // fused pair heads and glued halves
+		Store(4, 1, 8).Fmul(5, 4, 2).
+		Fma(6, 5, 4).Fdiv(7, 6, 2).
+		Load(8, 1, 16).Cmp(8, 2). // plain, unfused instructions
+		Store(8, 1, 24).Cmpi(8, 1).
+		Fadd(9, 8, 2).Ret()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := diffProgram(p, 0); msg != "" {
+		t.Fatal(msg)
+	}
+	cfg := cpu.DefaultConfig()
+	ir := &interpRecorder{}
+	ri, err := cpu.RunEngine(p, cfg, ir, 0, cpu.EngineInterp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cpu.BulkCounts{
+		Instrs: ri.Instructions, Uops: ri.Uops, TakenBranches: ri.TakenBranches,
+		CondBranches: ri.CondBranches, Mispredicts: ri.Mispredicts,
+	}
+	for _, ev := range ir.evs {
+		switch ev.Op {
+		case isa.OpLoad:
+			want.Loads++
+		case isa.OpStore:
+			want.Stores++
+		case isa.OpFadd, isa.OpFmul, isa.OpFdiv, isa.OpFma:
+			want.FPOps++
+		case isa.OpCall:
+			want.Calls++
+		case isa.OpRet:
+			want.Rets++
+		}
+	}
+	if want.Loads == 0 || want.Stores == 0 || want.FPOps == 0 || want.Calls == 0 || want.Rets == 0 {
+		t.Fatalf("program misses a non-Result class: %+v", want)
+	}
+	r := &bulkRecorder{}
+	rf, err := cpu.RunEngine(p, cfg, r, 0, cpu.EngineFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := diffResults(ri, rf); err != nil {
+		t.Fatal(err)
+	}
+	if r.sum != want {
+		t.Errorf("bulk totals\n  got  %+v\n  want %+v", r.sum, want)
 	}
 }
 

@@ -16,22 +16,6 @@ type EngineObserver interface {
 	EngineCounters() *telemetry.EngineCounters
 }
 
-// TelemetryVariant maps an engine loop variant to its telemetry key.
-// telemetry is a leaf package and defines its own Variant enum; this is
-// the single conversion point.
-func (v Variant) TelemetryVariant() telemetry.Variant {
-	switch v {
-	case VariantFull:
-		return telemetry.VariantFull
-	case VariantLean:
-		return telemetry.VariantLean
-	case VariantNop:
-		return telemetry.VariantNop
-	default:
-		return telemetry.VariantInterp
-	}
-}
-
 // recordFused credits the predecoded program's superinstruction fusions
 // to an observing monitor's counter block: a per-run static count,
 // recorded once at decode time (the stride loops never touch it).

@@ -16,6 +16,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"pmutrust/internal/analysis"
 	"pmutrust/internal/lbr"
@@ -158,6 +159,10 @@ func (r *Runner) MeasureTenants(spec workloads.Spec, mach machine.Machine, m sam
 		return meas, nil
 	}
 	meas.Supported = true
+	if r.Telemetry != nil {
+		start := time.Now()
+		defer func() { r.Telemetry.ObserveCellWall(time.Since(start)) }()
+	}
 	var errs []float64
 	var failures []error
 	for rep := 0; rep < r.Scale.Repeats; rep++ {
@@ -186,7 +191,10 @@ func (r *Runner) MeasureTenants(spec workloads.Spec, mach machine.Machine, m sam
 // measureTenantCell is the store-aware wrapper around MeasureTenants:
 // cached cells are served from the Runner's store (summary only), new
 // ones are appended — the same incremental-sweep contract as
-// measureMuxCell.
+// measureMuxCell. Like SweepCached, it counts every dispatched cell as
+// measured, a failed one included, in both StoreStats and the telemetry
+// sink; only successful measurements are stored, so a resume retries the
+// failed ones.
 func (r *Runner) measureTenantCell(spec workloads.Spec, mach machine.Machine, m sampling.Method,
 	n int, timeslice, switchCost uint64) (TenantMeasurement, error) {
 
@@ -196,6 +204,7 @@ func (r *Runner) measureTenantCell(spec workloads.Spec, mach machine.Machine, m 
 			r.mu.Lock()
 			r.storeStats.Cached++
 			r.mu.Unlock()
+			r.Telemetry.CountCells(0, 1)
 			return TenantMeasurement{
 				Workload: rec.Workload, Machine: rec.Machine,
 				Method: m.Key, Key: rec.Method, Tenants: n,
@@ -205,6 +214,10 @@ func (r *Runner) measureTenantCell(spec workloads.Spec, mach machine.Machine, m 
 		}
 	}
 	meas, err := r.MeasureTenants(spec, mach, m, n, timeslice, switchCost)
+	r.mu.Lock()
+	r.storeStats.Measured++
+	r.mu.Unlock()
+	r.Telemetry.CountCells(1, 0)
 	if err != nil {
 		return meas, err
 	}
@@ -223,9 +236,6 @@ func (r *Runner) measureTenantCell(spec workloads.Spec, mach machine.Machine, m 
 			return meas, perr
 		}
 	}
-	r.mu.Lock()
-	r.storeStats.Measured++
-	r.mu.Unlock()
 	return meas, nil
 }
 

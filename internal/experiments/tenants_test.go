@@ -8,6 +8,8 @@ import (
 	"pmutrust/internal/machine"
 	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
+	"pmutrust/internal/telemetry"
+	"pmutrust/internal/workloads"
 )
 
 // TestTenantsTable: the headline acceptance properties of the scheduling
@@ -144,13 +146,29 @@ func TestTenantsStoreResume(t *testing.T) {
 	}
 	r := NewRunner(SmallScale(), 42)
 	r.Store = st
-	t1, _, err := r.RunTenants([]int{1, 2}, 0)
+	r.Telemetry = &telemetry.Sink{}
+	t1, ms, err := r.RunTenants([]int{1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := r.StoreStats()
 	if cold.Measured == 0 || cold.Cached != 0 {
 		t.Fatalf("cold run stats: %+v", cold)
+	}
+	supported := 0
+	for _, m := range ms {
+		if m.Supported {
+			supported++
+		}
+	}
+	snap := r.Telemetry.Snapshot("")
+	if snap.Sweep.CellsMeasured != uint64(len(ms)) || snap.Sweep.CellsStored != 0 {
+		t.Fatalf("cold run telemetry: measured %d stored %d, want %d grid cells measured",
+			snap.Sweep.CellsMeasured, snap.Sweep.CellsStored, len(ms))
+	}
+	if snap.Sweep.CellWallNs.Count != uint64(supported) {
+		t.Fatalf("cold run cell-wall histogram holds %d cells, want %d supported",
+			snap.Sweep.CellWallNs.Count, supported)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -163,6 +181,7 @@ func TestTenantsStoreResume(t *testing.T) {
 	defer st2.Close()
 	r2 := NewRunner(SmallScale(), 42)
 	r2.Store = st2
+	r2.Telemetry = &telemetry.Sink{}
 	t2, _, err := r2.RunTenants([]int{1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +189,11 @@ func TestTenantsStoreResume(t *testing.T) {
 	warm := r2.StoreStats()
 	if warm.Measured != 0 || warm.Cached != cold.Measured {
 		t.Fatalf("warm run stats: %+v (cold %+v)", warm, cold)
+	}
+	snap = r2.Telemetry.Snapshot("")
+	if snap.Sweep.CellsStored != uint64(len(ms)) || snap.Sweep.CellsMeasured != 0 {
+		t.Fatalf("warm run telemetry: measured %d stored %d, want %d grid cells stored",
+			snap.Sweep.CellsMeasured, snap.Sweep.CellsStored, len(ms))
 	}
 	if t1.String() != t2.String() {
 		t.Fatalf("resumed table differs:\n%s\nvs\n%s", t1, t2)
@@ -187,5 +211,35 @@ func TestTenantKeySelfSorting(t *testing.T) {
 	}
 	if TenantKey(4, 16000, "classic") != "tn-n04-ts16000-classic" {
 		t.Errorf("key format drifted: %s", TenantKey(4, 16000, "classic"))
+	}
+}
+
+// TestTenantsFailedCellCounted pins how a failed tenant cell is counted:
+// like SweepCached, StoreStats and the telemetry sink both count it as
+// measured, and it is not stored, so a second attempt measures it again.
+func TestTenantsFailedCellCounted(t *testing.T) {
+	st, err := results.Create(t.TempDir() + "/tenants.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := SmallScale()
+	s.PeriodBase = 0 // sampling rejects every repeat
+	r := NewRunner(s, 42)
+	r.Store = st
+	r.Telemetry = &telemetry.Sink{}
+	spec, _ := workloads.ByName("LatencyBiased")
+	m, _ := sampling.MethodByKey("classic")
+	for attempt := 1; attempt <= 2; attempt++ {
+		if _, err := r.measureTenantCell(spec, machine.IvyBridge(), m, 2, 0, 0); err == nil {
+			t.Fatal("expected error from zero period base")
+		}
+		stats := r.StoreStats()
+		snap := r.Telemetry.Snapshot("")
+		if stats.Measured != attempt || stats.Cached != 0 ||
+			snap.Sweep.CellsMeasured != uint64(attempt) || snap.Sweep.CellsStored != 0 {
+			t.Fatalf("attempt %d: store stats %+v, telemetry measured %d stored %d",
+				attempt, stats, snap.Sweep.CellsMeasured, snap.Sweep.CellsStored)
+		}
 	}
 }

@@ -358,25 +358,6 @@ func (m *Mux) WantBranches() bool {
 	return m.inner != nil && m.inner.WantBranches()
 }
 
-// BulkClasses implements cpu.BulkClassHinter: BulkRetire reads Instrs
-// (to advance the conservative rotation clock) plus each configured
-// event's class, and forwards to the inner unit — so the hint is that
-// union. An inner unit that does not hint demands every class.
-func (m *Mux) BulkClasses() cpu.BulkClass {
-	cl := cpu.BulkInstrs
-	for _, e := range m.cfg.Events {
-		cl |= bulkClassOf(e)
-	}
-	if m.inner != nil {
-		h, ok := m.inner.(cpu.BulkClassHinter)
-		if !ok {
-			return cpu.BulkAll
-		}
-		cl |= h.BulkClasses()
-	}
-	return cl
-}
-
 // OnFastBranch implements cpu.FastMonitor by forwarding to the inner
 // unit (taken-branch counting is covered by BulkCounts.TakenBranches).
 func (m *Mux) OnFastBranch(from, to uint32, op isa.Op) {

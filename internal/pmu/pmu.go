@@ -636,41 +636,6 @@ func (p *PMU) countNearOverflow() {
 // because the ring's contents at the next sample depend on all of them.
 func (p *PMU) WantBranches() bool { return p.cfg.CaptureLBR }
 
-// BulkClasses implements cpu.BulkClassHinter: BulkRetire reads exactly
-// the configured event's BulkCounts field, so the engine may zero every
-// other class. With a Result-shaped event and no LBR capture this is what
-// lets RunFast select its lean loop for the sampling PMU.
-func (p *PMU) BulkClasses() cpu.BulkClass { return bulkClassOf(p.cfg.Event) }
-
-// bulkClassOf maps a countable event to the BulkCounts class its
-// EventUnitsBulk accessor reads. Unknown events demand every class, the
-// conservative answer.
-func bulkClassOf(e Event) cpu.BulkClass {
-	switch e {
-	case EvInstRetired:
-		return cpu.BulkInstrs
-	case EvUopsRetired:
-		return cpu.BulkUops
-	case EvBrTaken:
-		return cpu.BulkTakenBranches
-	case EvCondBr:
-		return cpu.BulkCondBranches
-	case EvBrMispred:
-		return cpu.BulkMispredicts
-	case EvLoad:
-		return cpu.BulkLoads
-	case EvStore:
-		return cpu.BulkStores
-	case EvFPOp:
-		return cpu.BulkFPOps
-	case EvCall:
-		return cpu.BulkCalls
-	case EvRet:
-		return cpu.BulkRets
-	}
-	return cpu.BulkAll
-}
-
 // OnFastBranch implements cpu.FastMonitor: the stride-mode half of the LBR
 // update in OnRetire.
 func (p *PMU) OnFastBranch(from, to uint32, op isa.Op) {

@@ -361,7 +361,7 @@ func Collect(p *program.Program, mach machine.Machine, m Method, opt Options) (*
 			if eng == cpu.EngineInterp {
 				sink.CountRun(telemetry.VariantInterp)
 			} else {
-				sink.CountRun(cpu.FastVariant(mon).TelemetryVariant())
+				sink.CountRun(cpu.FastVariant(mon))
 			}
 		}
 		if err != nil {

@@ -202,17 +202,6 @@ func (t *task) BulkRetire(c cpu.BulkCounts) {
 	t.mon.BulkRetire(c)
 }
 
-// BulkClasses implements cpu.BulkClassHinter: the task itself reads only
-// Instrs (for the conservative clock); the rest is the wrapped chain's
-// hint.
-func (t *task) BulkClasses() cpu.BulkClass {
-	cl := cpu.BulkInstrs
-	if h, ok := t.mon.(cpu.BulkClassHinter); ok {
-		return cl | h.BulkClasses()
-	}
-	return cpu.BulkAll
-}
-
 var _ cpu.FastMonitor = (*task)(nil)
 
 // TenantSeed derives tenant t's period-randomization seed from the cell
@@ -351,7 +340,7 @@ func runTenant(p *program.Program, mach machine.Machine, m sampling.Method, opt 
 		if eng == cpu.EngineInterp {
 			sink.CountRun(telemetry.VariantInterp)
 		} else {
-			sink.CountRun(cpu.FastVariant(tk).TelemetryVariant())
+			sink.CountRun(cpu.FastVariant(tk))
 		}
 	}
 	run := &sampling.Run{

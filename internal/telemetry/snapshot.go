@@ -35,8 +35,8 @@ type Snapshot struct {
 
 // EngineStats is the engine section of a snapshot.
 type EngineStats struct {
-	// Runs counts collection runs by execution variant (full / lean /
-	// nop / interp).
+	// Runs counts collection runs by execution variant (full / interp;
+	// no run counts the lean key).
 	Runs map[string]uint64 `json:"runs"`
 	// Strides / StrideInstrs count fast-path stride flushes and the
 	// instructions they covered; EventInstrs counts per-instruction

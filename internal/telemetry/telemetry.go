@@ -87,19 +87,19 @@ func (r FallbackReason) String() string {
 	}
 }
 
-// Variant names which execution path served a run, mirroring the engine's
-// monitor-specialized loop selection (cpu.Variant) plus the reference
-// interpreter. Defined here rather than aliased so telemetry stays a
-// leaf package.
+// Variant names which execution path served a run: the fast engine's
+// stride loop or the reference interpreter. cpu.FastVariant selects it;
+// it is defined here so telemetry stays a leaf package.
 type Variant uint8
 
 const (
-	// VariantFull is the general fast-engine stride loop.
+	// VariantFull is the fast engine's stride loop.
 	VariantFull Variant = iota
-	// VariantLean is the reduced-bookkeeping fast-engine loop.
+	// VariantLean named a reduced-bookkeeping stride loop the engine no
+	// longer has. No run counts it; its "lean" snapshot key stays at zero
+	// so readers of the key (perfbench's ledger, older snapshots) still
+	// find it.
 	VariantLean
-	// VariantNop is the no-monitor timing loop.
-	VariantNop
 	// VariantInterp is the per-instruction reference interpreter.
 	VariantInterp
 
@@ -114,8 +114,6 @@ func (v Variant) String() string {
 		return "full"
 	case VariantLean:
 		return "lean"
-	case VariantNop:
-		return "nop"
 	case VariantInterp:
 		return "interp"
 	default:
