@@ -260,12 +260,11 @@ func muxCount(p *program.Program, events []pmu.Event, timeslice uint64, policy p
 		"machine", "event", "exact", "scaled", "rel err", "running/enabled", "rotations")
 	for _, mach := range machine.All() {
 		m := pmu.NewMux(pmu.MuxConfig{
-			Events:            events,
-			TimesliceCycles:   timeslice,
-			Policy:            policy,
-			GenCounters:       mach.NumGenCounters,
-			FixedCounterFree:  mach.HasFixedCounter,
-			MaxCyclesPerInstr: mach.CPU.MaxRetireCyclesPerInstr(),
+			Events:           events,
+			TimesliceCycles:  timeslice,
+			Policy:           policy,
+			GenCounters:      mach.NumGenCounters,
+			FixedCounterFree: mach.HasFixedCounter,
 		}, nil)
 		res, err := cpu.RunFast(p, mach.CPU, m, 0)
 		if err != nil {

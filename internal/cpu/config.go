@@ -70,10 +70,11 @@ func DefaultConfig() Config {
 // is bounded by an already-retired instruction's cycle); operand-ready
 // times are completion cycles of retired producers, so they cannot push
 // past that; execution adds at most isa.MaxLatency; and the retire-width
-// rule adds at most one more cycle. The mux (internal/pmu Mux) divides a
-// cycle deadline by this bound to obtain an instruction headroom that can
-// never cross the deadline mid-stride; one extra cycle of slack is
-// included so the bound stays safe under small timing-model edits.
+// rule adds at most one more cycle. The stride loop's deadline fence
+// ends a stride two of these bounds before a monitor's deadline (one
+// iteration can retire a fused pair), so no strided retirement reaches
+// it; one extra cycle of slack is included so the bound stays safe under
+// small timing-model edits.
 func (c Config) MaxRetireCyclesPerInstr() uint64 {
 	c = c.withDefaults()
 	worst := c.MispredictPenalty

@@ -73,12 +73,17 @@ type BulkCounts struct {
 // FastMonitor is the bulk-advance contract a Monitor may implement to let
 // RunFast skip per-instruction event delivery. The protocol:
 //
-//   - FastHeadroom returns how many instructions the monitor can absorb
-//     with no observable action of any kind — no sample, no overflow, no
-//     interrupt bookkeeping, no counter rotation. 0 means "I must see
-//     every retirement": the engine then delivers full RetireEvents
-//     through OnRetire, exactly as the interpreter does, and asks again
-//     after each one.
+//   - FastHeadroom(horizon) returns how many instructions the monitor can
+//     absorb with no observable action of any kind — no sample, no
+//     overflow, no interrupt bookkeeping, no counter rotation — and the
+//     first retirement cycle it must observe (NoDeadline if none). The
+//     engine owns the clock: horizon is its exact retirement cycle plus a
+//     guard no stride-loop iteration can retire past, and it ends a
+//     stride before any retirement could reach the deadline. A monitor
+//     with a cycle deadline therefore refuses only once horizon ≥
+//     deadline. A zero grant means "I must see every retirement": the
+//     engine then delivers full RetireEvents through OnRetire, exactly as
+//     the interpreter does, and asks again after each one.
 //   - While striding inside a headroom grant the engine does not call
 //     OnRetire at all. It accumulates per-event-class totals (BulkCounts)
 //     and flushes them with one BulkRetire call before the next
@@ -96,8 +101,10 @@ type FastMonitor interface {
 
 	// FastHeadroom returns the number of instructions that can retire
 	// without any monitor-observable action beyond bulk counting and the
-	// branch stream; 0 demands per-instruction OnRetire delivery.
-	FastHeadroom() uint64
+	// branch stream (0 demands per-instruction OnRetire delivery), and
+	// the first cycle at which a retirement must be delivered through
+	// OnRetire. A nonzero grant requires deadline > horizon.
+	FastHeadroom(horizon uint64) (grant, deadline uint64)
 
 	// WantBranches reports whether OnFastBranch must be called for every
 	// taken branch retired inside a stride.
@@ -109,15 +116,20 @@ type FastMonitor interface {
 	OnFastBranch(from, to uint32, op isa.Op)
 
 	// BulkRetire accounts a completed stride's totals. The engine
-	// guarantees the stride fits inside the last FastHeadroom grant.
+	// guarantees the stride fits inside the last FastHeadroom grant and
+	// retires nothing at or past its deadline.
 	BulkRetire(c BulkCounts)
 }
+
+// NoDeadline is the FastHeadroom deadline of a monitor with no cycle
+// deadline: the stride-loop fence never fires.
+const NoDeadline = ^uint64(0)
 
 // NopMonitor's FastMonitor implementation: unlimited headroom, nothing
 // recorded, so timing-only runs take the fast path end to end.
 
 // FastHeadroom implements FastMonitor.
-func (NopMonitor) FastHeadroom() uint64 { return 1 << 40 }
+func (NopMonitor) FastHeadroom(horizon uint64) (uint64, uint64) { return 1 << 40, NoDeadline }
 
 // WantBranches implements FastMonitor.
 func (NopMonitor) WantBranches() bool { return false }
@@ -413,7 +425,8 @@ func (pr *predictor) predictUpdate(pc uint32, taken bool) bool {
 // stream when it wants them). The engine drops to the generic
 // per-instruction event path whenever the monitor demands it (for the PMU:
 // counter within one block of overflow, armed PEBS capture window, pending
-// imprecise PMI or displaced IBS tag).
+// imprecise PMI or displaced IBS tag; for the mux and the scheduler: a
+// cycle deadline within the engine's horizon).
 //
 // Inside a stride the monitor is called only for the taken-branch stream,
 // and only when it asks for one; every other monitor call happens at a

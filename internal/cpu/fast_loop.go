@@ -42,12 +42,11 @@ func runFast(p *program.Program, cfg Config, fm FastMonitor, maxInstrs uint64) (
 
 	pc := int32(p.Funcs[0].Start)
 
-	// Stride accounting: headroom is the remainder of the monitor's last
-	// grant. acc holds the non-Result bulk classes of the unflushed
-	// stride; the Result-shaped classes are reconstructed at flush time as
-	// deltas against the fl* snapshots (the counters at the last flush or
-	// per-instruction delivery), so the stride body never touches them.
-	var headroom uint64
+	// Stride accounting: acc holds the non-Result bulk classes of the
+	// unflushed stride; the Result-shaped classes are reconstructed at
+	// flush time as deltas against the fl* snapshots (the counters at the
+	// last flush or per-instruction delivery), so the stride body never
+	// touches them.
 	var acc BulkCounts
 	var flInstrs, flUops, flTaken, flCond, flMispred uint64
 
@@ -56,23 +55,28 @@ func runFast(p *program.Program, cfg Config, fm FastMonitor, maxInstrs uint64) (
 	var pendingErr error
 	var nDone uint64 // instructions completed in the failing stride
 
-	for {
-		if headroom == 0 {
-			if instrs != flInstrs {
-				acc.Instrs = instrs - flInstrs
-				acc.Uops = uopsDone - flUops
-				acc.TakenBranches = takenBr - flTaken
-				acc.CondBranches = condBr - flCond
-				acc.Mispredicts = mispred - flMispred
-				fm.BulkRetire(acc)
-				acc = BulkCounts{}
-				flInstrs, flUops, flTaken, flCond, flMispred =
-					instrs, uopsDone, takenBr, condBr, mispred
-			}
-			headroom = fm.FastHeadroom()
-		}
+	// The deadline fence: one stride-loop iteration retires at most a
+	// fused pair, each retirement advancing the clock by at most
+	// MaxRetireCyclesPerInstr, so iterations that start below
+	// deadline − guard never retire at or past the deadline.
+	guard := 2 * cfg.MaxRetireCyclesPerInstr()
 
-		if headroom == 0 {
+	for {
+		if instrs != flInstrs {
+			acc.Instrs = instrs - flInstrs
+			acc.Uops = uopsDone - flUops
+			acc.TakenBranches = takenBr - flTaken
+			acc.CondBranches = condBr - flCond
+			acc.Mispredicts = mispred - flMispred
+			fm.BulkRetire(acc)
+			acc = BulkCounts{}
+			flInstrs, flUops, flTaken, flCond, flMispred =
+				instrs, uopsDone, takenBr, condBr, mispred
+		}
+		horizon := retCycle + guard
+		grant, deadline := fm.FastHeadroom(horizon)
+
+		if grant == 0 {
 			// ---- event mode: one instruction, generic body, full event ----
 			in := &code[pc]
 			idx := uint32(pc)
@@ -279,16 +283,21 @@ func runFast(p *program.Program, cfg Config, fm FastMonitor, maxInstrs uint64) (
 
 		// ---- stride mode: specialized per-opcode loop, no per-instruction
 		// monitor calls; taken branches stream to the LBR only when the
-		// monitor wants them.
+		// monitor wants them. The stride ends when the grant is spent or
+		// the clock reaches the fence, whichever comes first.
 		{
-			n := headroom
+			if deadline <= horizon {
+				panic("cpu: FastHeadroom granted instructions with deadline ≤ horizon")
+			}
+			fence := deadline - guard
+			n := grant
 			if left := maxInstrs - instrs; n > left {
 				n = left
 			}
-			executed := n
 			halted := false
 
-			for i := n; i > 0; i-- {
+			i := n
+			for ; i > 0 && retCycle < fence; i-- {
 				in := &code[pc]
 
 				d := dispCycle
@@ -570,7 +579,7 @@ func runFast(p *program.Program, cfg Config, fm FastMonitor, maxInstrs uint64) (
 						retCount++
 					}
 					halted = true
-					executed = n - i + 1
+					i-- // the halt retired
 					goto strideDone
 				case opPairMov:
 					complete = max(d, rf[in.src1].ready) + uint64(in.lat)
@@ -853,8 +862,7 @@ func runFast(p *program.Program, cfg Config, fm FastMonitor, maxInstrs uint64) (
 			}
 		strideDone:
 
-			instrs += executed
-			headroom -= executed
+			instrs += n - i
 			if halted || instrs >= maxInstrs {
 				acc.Instrs = instrs - flInstrs
 				acc.Uops = uopsDone - flUops

@@ -21,6 +21,7 @@ import (
 
 	"pmutrust/internal/cpu"
 	"pmutrust/internal/isa"
+	"pmutrust/internal/machine"
 	"pmutrust/internal/pmu"
 	"pmutrust/internal/program"
 	"pmutrust/internal/telemetry"
@@ -34,7 +35,7 @@ type streamRecorder struct {
 }
 
 func (r *streamRecorder) OnRetire(ev cpu.RetireEvent)             { r.evs = append(r.evs, ev) }
-func (r *streamRecorder) FastHeadroom() uint64                    { return 0 }
+func (r *streamRecorder) FastHeadroom(uint64) (uint64, uint64)    { return 0, cpu.NoDeadline }
 func (r *streamRecorder) WantBranches() bool                      { return false }
 func (r *streamRecorder) OnFastBranch(from, to uint32, op isa.Op) {}
 func (r *streamRecorder) BulkRetire(c cpu.BulkCounts)             {}
@@ -78,11 +79,11 @@ func (r *mixRecorder) OnRetire(ev cpu.RetireEvent) {
 	}
 }
 
-func (r *mixRecorder) FastHeadroom() uint64 {
+func (r *mixRecorder) FastHeadroom(uint64) (uint64, uint64) {
 	h := r.schedule[r.pos%len(r.schedule)]
 	r.pos++
 	r.grants++
-	return h
+	return h, cpu.NoDeadline
 }
 
 func (r *mixRecorder) WantBranches() bool { return true }
@@ -202,21 +203,76 @@ func pmuConfigGrid(seed uint64) []pmu.Config {
 // muxConfigGrid returns multiplexer configurations covering the regimes
 // the fast engine can get wrong: static schedules (no rotation), rotating
 // round-robin schedules with timeslices longer and shorter than the
-// worst-case per-instruction cycle bound, the fixed-counter rule, and the
-// starving priority policy.
-func muxConfigGrid(cpuCfg cpu.Config) []pmu.MuxConfig {
+// stride-loop fence's guard, the fixed-counter rule, and the starving
+// priority policy.
+func muxConfigGrid() []pmu.MuxConfig {
 	menu := []pmu.Event{
 		pmu.EvInstRetired, pmu.EvUopsRetired, pmu.EvBrTaken, pmu.EvCondBr,
 		pmu.EvBrMispred, pmu.EvLoad, pmu.EvStore, pmu.EvFPOp, pmu.EvCall, pmu.EvRet,
 	}
-	c := cpuCfg.MaxRetireCyclesPerInstr()
 	return []pmu.MuxConfig{
-		{Events: menu[:3], GenCounters: 4, TimesliceCycles: 200, MaxCyclesPerInstr: c},
-		{Events: menu, GenCounters: 3, TimesliceCycles: 120, MaxCyclesPerInstr: c},
-		{Events: menu, GenCounters: 2, FixedCounterFree: true, TimesliceCycles: 900, MaxCyclesPerInstr: c},
-		{Events: menu, GenCounters: 2, Policy: pmu.MuxPriority, TimesliceCycles: 150, MaxCyclesPerInstr: c},
-		{Events: menu[:6], GenCounters: 1, TimesliceCycles: 30, MaxCyclesPerInstr: c},
+		{Events: menu[:3], GenCounters: 4, TimesliceCycles: 200},
+		{Events: menu, GenCounters: 3, TimesliceCycles: 120},
+		{Events: menu, GenCounters: 2, FixedCounterFree: true, TimesliceCycles: 900},
+		{Events: menu, GenCounters: 2, Policy: pmu.MuxPriority, TimesliceCycles: 150},
+		{Events: menu[:6], GenCounters: 1, TimesliceCycles: 30},
 	}
+}
+
+// fenceRecorder grants unlimited instructions under the tightest legal
+// deadline, horizon + 1, and records the Seq range and deadline of every
+// stride, so each strided retirement can be checked against the
+// interpreter's clock. It never refuses, so every instruction retires in
+// a stride.
+type fenceRecorder struct {
+	deadline uint64 // deadline of the last grant
+	instrs   uint64
+	strides  []fenceStride
+}
+
+// fenceStride is one stride: Seq first..last under deadline.
+type fenceStride struct{ first, last, deadline uint64 }
+
+func (r *fenceRecorder) OnRetire(ev cpu.RetireEvent)             { r.instrs++ }
+func (r *fenceRecorder) WantBranches() bool                      { return false }
+func (r *fenceRecorder) OnFastBranch(from, to uint32, op isa.Op) {}
+
+func (r *fenceRecorder) FastHeadroom(horizon uint64) (uint64, uint64) {
+	r.deadline = horizon + 1
+	return 1 << 40, r.deadline
+}
+
+func (r *fenceRecorder) BulkRetire(c cpu.BulkCounts) {
+	r.strides = append(r.strides, fenceStride{r.instrs + 1, r.instrs + c.Instrs, r.deadline})
+	r.instrs += c.Instrs
+}
+
+// diffFence runs p under a fenceRecorder and checks it against the
+// interpreter's Result, error and retirement stream evs: every
+// instruction retires in some stride, and none at or past the deadline
+// in force for its stride.
+func diffFence(p *program.Program, cpuCfg cpu.Config, ri cpu.Result, erri error,
+	evs []cpu.RetireEvent, maxInstrs uint64) error {
+	r := &fenceRecorder{}
+	rf, errf := cpu.RunFast(p, cpuCfg, r, maxInstrs)
+	if err := diffErrs(erri, errf); err != nil {
+		return err
+	}
+	if err := diffResults(ri, rf); err != nil {
+		return err
+	}
+	if r.instrs != uint64(len(evs)) {
+		return fmt.Errorf("strides retired %d instructions, interpreter %d", r.instrs, len(evs))
+	}
+	for _, s := range r.strides {
+		for seq := s.first; seq <= s.last; seq++ {
+			if ev := evs[seq-1]; ev.Cycle >= s.deadline {
+				return fmt.Errorf("strided retirement Seq %d (%s) at cycle %d, deadline %d",
+					seq, ev.Op.Mnemonic(), ev.Cycle, s.deadline)
+			}
+		}
+	}
+	return nil
 }
 
 // diffMux runs p under both engines with a multiplexed monitor — bare and
@@ -328,6 +384,12 @@ func diffProgram(p *program.Program, maxInstrs uint64) string {
 		}
 	}
 
+	// Deadline fence: no strided retirement reaches a deadline, even the
+	// tightest one a monitor may set.
+	if err := diffFence(p, cpuCfg, ri, erri, ir.evs, streamCap); err != nil {
+		return "deadline fence: " + err.Error()
+	}
+
 	// NopMonitor: one unbounded grant and no monitor observables, but its
 	// Result and error must still be bit-identical.
 	rn, errn := cpu.RunFast(p, cpuCfg, cpu.NopMonitor{}, streamCap)
@@ -357,7 +419,7 @@ func diffProgram(p *program.Program, maxInstrs uint64) string {
 	// sampling unit. Contended configurations interpret a slice of every
 	// rotation window, so cap the run length like the tiny-period PMU
 	// section does.
-	for mi, muxCfg := range muxConfigGrid(cpuCfg) {
+	for mi, muxCfg := range muxConfigGrid() {
 		cap := maxInstrs
 		if cap == 0 || cap > 200_000 {
 			cap = 200_000
@@ -461,6 +523,54 @@ func TestEnginesMatchRunErrors(t *testing.T) {
 	}
 }
 
+// TestEnginesMatchDeadlineFence: a loop of dependent fused fdiv pairs
+// advances the clock by two full fdiv latencies in one stride-loop
+// iteration — the case that sizes the fence guard at two per-instruction
+// bounds. Under the tightest legal deadline no strided retirement may
+// reach it, on every machine's timing model.
+func TestEnginesMatchDeadlineFence(t *testing.T) {
+	b := program.NewBuilder("fdiv-pairs")
+	main := b.Func("main")
+	main.Block("entry").Movi(1, 1<<40).Movi(2, 3).Movi(3, 0).Movi(4, 300)
+	main.Block("loop").Fdiv(1, 1, 2).Fdiv(1, 1, 2).Addi(3, 3, 1).Cmp(3, 4).Jlt("loop")
+	main.Block("exit").Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []cpu.Config{
+		cpu.DefaultConfig(), machine.MagnyCours().CPU, machine.Westmere().CPU, machine.IvyBridge().CPU,
+	} {
+		ir := &interpRecorder{}
+		ri, erri := cpu.Run(p, cfg, ir, 0)
+		if erri != nil {
+			t.Fatal(erri)
+		}
+		if err := diffFence(p, cfg, ri, erri, ir.evs, 0); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+	}
+}
+
+// pastDeadlineMonitor breaks the FastHeadroom contract: it grants
+// instructions under a deadline the horizon has already reached.
+type pastDeadlineMonitor struct{ bulkRecorder }
+
+func (m *pastDeadlineMonitor) FastHeadroom(horizon uint64) (uint64, uint64) { return 1, horizon }
+
+// TestFenceContractViolationPanics: such a grant leaves the stride loop
+// no legal instruction to retire; the engine must panic rather than spin
+// or stride past the deadline.
+func TestFenceContractViolationPanics(t *testing.T) {
+	p := workloads.MustBuild("G4Box", 0.1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a grant with deadline ≤ horizon did not panic")
+		}
+	}()
+	cpu.RunFast(p, cpu.DefaultConfig(), &pastDeadlineMonitor{}, 100)
+}
+
 // fuzzCount returns the number of fuzzed programs for the default run.
 func fuzzCount() int {
 	if testing.Short() {
@@ -507,6 +617,7 @@ func TestDiffBatteryCoversAllVariants(t *testing.T) {
 		{"interpRecorder", &interpRecorder{}, telemetry.VariantInterp},
 		{"streamRecorder", &streamRecorder{}, telemetry.VariantFull},
 		{"mixRecorder", &mixRecorder{schedule: []uint64{1}}, telemetry.VariantFull},
+		{"fenceRecorder", &fenceRecorder{}, telemetry.VariantFull},
 		{"NopMonitor", cpu.NopMonitor{}, telemetry.VariantFull},
 	}
 	// Every PMU and mux configuration of the grids takes the stride loop,
@@ -514,8 +625,7 @@ func TestDiffBatteryCoversAllVariants(t *testing.T) {
 	for i, cfg := range pmuConfigGrid(7) {
 		entries = append(entries, entry{fmt.Sprintf("pmu[%d]", i), pmu.New(cfg), telemetry.VariantFull})
 	}
-	cpuCfg := cpu.DefaultConfig()
-	for i, cfg := range muxConfigGrid(cpuCfg) {
+	for i, cfg := range muxConfigGrid() {
 		entries = append(entries, entry{fmt.Sprintf("mux[%d]", i), pmu.NewMux(cfg, nil), telemetry.VariantFull})
 	}
 	covered := map[telemetry.Variant]bool{}
@@ -540,7 +650,7 @@ type bulkRecorder struct {
 }
 
 func (r *bulkRecorder) OnRetire(ev cpu.RetireEvent)             {}
-func (r *bulkRecorder) FastHeadroom() uint64                    { return 1 << 40 }
+func (r *bulkRecorder) FastHeadroom(uint64) (uint64, uint64)    { return 1 << 40, cpu.NoDeadline }
 func (r *bulkRecorder) WantBranches() bool                      { return false }
 func (r *bulkRecorder) OnFastBranch(from, to uint32, op isa.Op) {}
 

@@ -201,10 +201,9 @@ const MaxUops = 4
 
 // MaxLatency is the largest Latency() value of any defined opcode (OpFdiv).
 // cpu.Config.MaxRetireCyclesPerInstr folds it into the worst-case
-// retirement-cycle advance per instruction, which the multiplexed PMU
-// (internal/pmu Mux) uses to convert a cycle deadline into a
-// guaranteed-safe instruction headroom; a test asserts it stays in sync
-// with the opcode table.
+// retirement-cycle advance per instruction, which sizes the fast engine's
+// stride-loop fence against a monitor's cycle deadline; a test asserts it
+// stays in sync with the opcode table.
 const MaxLatency = 24
 
 // Valid reports whether o is a defined opcode.

@@ -73,6 +73,11 @@ func synthStream(n int) []cpu.RetireEvent {
 	return evs
 }
 
+// synthMaxCycles bounds synthStream's clock advance per event (at most
+// ~42 cycles). A replay stride retires one event per step, so it is the
+// replays' fence guard.
+const synthMaxCycles = 64
+
 // accumulate folds one retirement into a stride's BulkCounts the way the
 // fast engine's stride loop does — the replay-side half of the bulk
 // contract. The mux tests reuse it to chop synthetic streams.
@@ -110,38 +115,37 @@ func replayDirect(u *pmu.PMU, evs []cpu.RetireEvent) {
 	}
 }
 
-// replayBulk drives the engine protocol: take FastHeadroom-bounded strides
-// of at most chunk events through BulkRetire (+ OnFastBranch for taken
-// branches when the unit wants them), and fall back to OnRetire whenever
-// the headroom is zero.
-func replayBulk(t *testing.T, u *pmu.PMU, evs []cpu.RetireEvent, chunk int) {
-	t.Helper()
-	wantBr := u.WantBranches()
+// replayBulk drives the engine protocol the way RunFast does: ask
+// FastHeadroom with the horizon (last retirement cycle + guard), take
+// strides of at most chunk events through BulkRetire (+ OnFastBranch for
+// taken branches when the monitor wants them) that end at the grant or
+// at the fence (deadline − guard), and fall back to OnRetire whenever the
+// grant is zero.
+func replayBulk(m cpu.FastMonitor, evs []cpu.RetireEvent, chunk int) {
+	wantBr := m.WantBranches()
+	var clock uint64
 	i := 0
 	for i < len(evs) {
-		h := u.FastHeadroom()
-		if h == 0 {
-			u.OnRetire(evs[i])
+		g, deadline := m.FastHeadroom(clock + synthMaxCycles)
+		if g == 0 {
+			m.OnRetire(evs[i])
+			clock = evs[i].Cycle
 			i++
 			continue
 		}
-		n := int(h)
-		if n > chunk {
-			n = chunk
-		}
-		if n > len(evs)-i {
-			n = len(evs) - i
-		}
+		fence := deadline - synthMaxCycles
+		n := min(g, uint64(chunk), uint64(len(evs)-i))
 		var c cpu.BulkCounts
-		for j := 0; j < n; j++ {
-			ev := evs[i+j]
+		for ; n > 0 && clock < fence; n-- {
+			ev := evs[i]
 			accumulate(&c, ev)
 			if ev.Taken && wantBr {
-				u.OnFastBranch(ev.Idx, ev.Target, ev.Op)
+				m.OnFastBranch(ev.Idx, ev.Target, ev.Op)
 			}
+			clock = ev.Cycle
+			i++
 		}
-		u.BulkRetire(c)
-		i += n
+		m.BulkRetire(c)
 	}
 }
 
@@ -242,7 +246,7 @@ func TestBulkBoundaries(t *testing.T) {
 				direct := pmu.New(tc.cfg)
 				replayDirect(direct, evs)
 				bulk := pmu.New(tc.cfg)
-				replayBulk(t, bulk, evs, chunk)
+				replayBulk(bulk, evs, chunk)
 				if err := diffUnits(direct, bulk); err != nil {
 					t.Fatal(err)
 				}
@@ -256,21 +260,31 @@ func TestFastHeadroomValues(t *testing.T) {
 	ev := func(uops uint8) cpu.RetireEvent {
 		return cpu.RetireEvent{Idx: 1, Cycle: 100, Seq: 1, Op: isa.OpAdd, Uops: uops}
 	}
+	// grant returns the unit's grant; it counts events, not cycles, so
+	// it never has a deadline.
+	grant := func(t *testing.T, u *pmu.PMU) uint64 {
+		t.Helper()
+		g, deadline := u.FastHeadroom(100)
+		if deadline != cpu.NoDeadline {
+			t.Fatalf("PMU deadline = %d, want none", deadline)
+		}
+		return g
+	}
 
 	t.Run("inst-retired", func(t *testing.T) {
 		u := pmu.New(pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.PreciseDist, Period: 10, Seed: 1})
-		if got := u.FastHeadroom(); got != 9 {
+		if got := grant(t, u); got != 9 {
 			t.Fatalf("fresh headroom = %d, want 9", got)
 		}
 		u.OnRetire(ev(1))
-		if got := u.FastHeadroom(); got != 8 {
+		if got := grant(t, u); got != 8 {
 			t.Fatalf("after 1 event headroom = %d, want 8", got)
 		}
 	})
 
 	t.Run("period-1-never-strides", func(t *testing.T) {
 		u := pmu.New(pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.PreciseDist, Period: 1, Seed: 1})
-		if got := u.FastHeadroom(); got != 0 {
+		if got := grant(t, u); got != 0 {
 			t.Fatalf("period-1 headroom = %d, want 0", got)
 		}
 	})
@@ -279,7 +293,7 @@ func TestFastHeadroomValues(t *testing.T) {
 		u := pmu.New(pmu.Config{Event: pmu.EvUopsRetired, Precision: pmu.PreciseIBS, Period: 10, Seed: 1})
 		// avail = 9 units; a single instruction can carry isa.MaxUops of
 		// them, so only 9/MaxUops instructions are guaranteed safe.
-		if got, want := u.FastHeadroom(), uint64(9/isa.MaxUops); got != want {
+		if got, want := grant(t, u), uint64(9/isa.MaxUops); got != want {
 			t.Fatalf("uop headroom = %d, want %d", got, want)
 		}
 	})
@@ -289,7 +303,7 @@ func TestFastHeadroomValues(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			u.OnRetire(ev(1)) // 4th event overflows and arms
 		}
-		if got := u.FastHeadroom(); got != 0 {
+		if got := grant(t, u); got != 0 {
 			t.Fatalf("armed headroom = %d, want 0", got)
 		}
 		// The capture happens at the next eligible event in a later
@@ -299,7 +313,7 @@ func TestFastHeadroomValues(t *testing.T) {
 		later.Cycle = 200
 		later.Seq = 5
 		u.OnRetire(later)
-		if got := u.FastHeadroom(); got != 2 {
+		if got := grant(t, u); got != 2 {
 			t.Fatalf("post-capture headroom = %d, want 2", got)
 		}
 		if n := len(u.Samples()); n != 1 {
@@ -311,7 +325,7 @@ func TestFastHeadroomValues(t *testing.T) {
 		u := pmu.New(pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.Imprecise, Period: 2, SkidCycles: 50, Seed: 1})
 		u.OnRetire(ev(1))
 		u.OnRetire(ev(1)) // overflow: PMI pending for ~50+jitter cycles
-		if got := u.FastHeadroom(); got != 0 {
+		if got := grant(t, u); got != 0 {
 			t.Fatalf("pending-PMI headroom = %d, want 0", got)
 		}
 	})

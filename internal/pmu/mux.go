@@ -90,11 +90,6 @@ type MuxConfig struct {
 	// the fixed-counter rule the classic method's Table 3 comment refers
 	// to.
 	FixedCounterFree bool
-	// MaxCyclesPerInstr is the machine's worst-case retirement-clock
-	// advance per instruction (cpu.Config.MaxRetireCyclesPerInstr). The
-	// mux divides the distance to the next rotation deadline by it to
-	// grant fast-path headroom that can never cross the deadline.
-	MaxCyclesPerInstr uint64
 }
 
 // MuxCount is the outcome of one requested event after a multiplexed run:
@@ -157,10 +152,11 @@ func (c MuxCount) RelError() float64 {
 // interrupt is only visible at instruction boundaries), *before* that
 // retirement's events are counted, and the next deadline is one timeslice
 // after the service cycle. The fast-path contract makes deadlines
-// stride-safe: FastHeadroom never grants instructions that could reach
-// the deadline (rotation boundaries are fallback points), so strided and
-// per-instruction execution count every window identically — the
-// differential harness checks the counts bit for bit.
+// stride-safe: FastHeadroom hands the deadline to the engine, whose
+// stride-loop fence keeps strided retirements short of it, and refuses
+// once the engine's horizon reaches it (rotation boundaries are fallback
+// points), so strided and per-instruction execution count every window
+// identically — the differential harness checks the counts bit for bit.
 type Mux struct {
 	cfg   MuxConfig
 	inner cpu.FastMonitor // optional sampling unit; may be nil
@@ -177,13 +173,7 @@ type Mux struct {
 	rot       int    // rotation offset into Events (round-robin)
 	winStart  uint64 // cycle the current window opened
 	nextRot   uint64 // rotation deadline (contended round-robin only)
-	// estCycle is a conservative upper bound on the current retirement
-	// cycle: exact after every OnRetire, advanced by MaxCyclesPerInstr
-	// per strided instruction in BulkRetire. Used only to keep headroom
-	// grants from crossing nextRot; window accounting always uses exact
-	// cycles from OnRetire.
-	estCycle uint64
-	finished bool
+	finished  bool
 
 	// Rotations counts serviced rotation deadlines.
 	Rotations uint64
@@ -205,9 +195,6 @@ func NewMux(cfg MuxConfig, inner cpu.FastMonitor) *Mux {
 	}
 	if cfg.TimesliceCycles == 0 {
 		cfg.TimesliceCycles = DefaultMuxTimeslice
-	}
-	if cfg.MaxCyclesPerInstr == 0 {
-		panic("pmu: mux without MaxCyclesPerInstr (use cpu.Config.MaxRetireCyclesPerInstr)")
 	}
 	if cfg.GenCounters < 0 {
 		cfg.GenCounters = 0
@@ -297,7 +284,6 @@ func (m *Mux) OnRetire(ev cpu.RetireEvent) {
 	if m.contended && ev.Cycle >= m.nextRot {
 		m.rotate(ev.Cycle)
 	}
-	m.estCycle = ev.Cycle
 	for i, e := range m.cfg.Events {
 		u := EventUnits(e, ev)
 		if u == 0 {
@@ -317,39 +303,29 @@ func (m *Mux) OnRetire(ev cpu.RetireEvent) {
 	}
 }
 
-// FastHeadroom implements cpu.FastMonitor: the lesser of the inner unit's
-// grant and the rotation-deadline grant. The deadline grant divides the
-// remaining cycle distance by the worst-case cycle advance per
-// instruction, so no strided retirement can reach the deadline; when the
-// conservative cycle estimate has drifted past the deadline the grant is
-// zero and the next OnRetire resynchronizes it with the real clock.
+// FastHeadroom implements cpu.FastMonitor: the inner unit's grant, and
+// the lesser of its deadline and the rotation deadline. The engine's
+// fence keeps strides short of the deadline, so the mux refuses only
+// once the engine's horizon has reached it.
 //
 // A zero mux grant returns before consulting the inner unit, so exactly
 // one layer attributes each fallback event (headroom queries are pure
 // modulo telemetry, so the skipped inner call is behavior-identical);
 // when the inner unit is the refuser it has already counted its reason.
-func (m *Mux) FastHeadroom() uint64 {
-	h := uint64(1) << 40
+func (m *Mux) FastHeadroom(horizon uint64) (uint64, uint64) {
+	grant, deadline := uint64(1)<<40, cpu.NoDeadline
 	if m.contended {
-		if m.estCycle >= m.nextRot {
+		if horizon >= m.nextRot {
 			m.tele.Fallbacks[telemetry.FallbackMuxDeadline]++
-			return 0
+			return 0, m.nextRot
 		}
-		g := (m.nextRot - m.estCycle - 1) / m.cfg.MaxCyclesPerInstr
-		if g == 0 {
-			m.tele.Fallbacks[telemetry.FallbackMuxDeadline]++
-			return 0
-		}
-		if g < h {
-			h = g
-		}
+		deadline = m.nextRot
 	}
 	if m.inner != nil {
-		if ih := m.inner.FastHeadroom(); ih < h {
-			h = ih
-		}
+		ig, id := m.inner.FastHeadroom(horizon)
+		grant, deadline = min(grant, ig), min(deadline, id)
 	}
-	return h
+	return grant, deadline
 }
 
 // WantBranches implements cpu.FastMonitor: the mux itself needs only
@@ -367,12 +343,9 @@ func (m *Mux) OnFastBranch(from, to uint32, op isa.Op) {
 }
 
 // BulkRetire implements cpu.FastMonitor: attribute a whole stride to the
-// current schedule. The headroom grant guarantees no rotation deadline
+// current schedule. The engine's fence guarantees no rotation deadline
 // lies inside the stride, so the attribution is exact.
 func (m *Mux) BulkRetire(c cpu.BulkCounts) {
-	if m.contended {
-		m.estCycle += c.Instrs * m.cfg.MaxCyclesPerInstr
-	}
 	for i, e := range m.cfg.Events {
 		u := EventUnitsBulk(e, c)
 		if u == 0 {
@@ -452,12 +425,6 @@ func (m *Mux) Repartition(genCounters int, fixedFree bool, cycle uint64) {
 	m.cfg.GenCounters = genCounters
 	m.cfg.FixedCounterFree = fixedFree
 	m.place()
-	if cycle > m.estCycle {
-		// Resynchronize the conservative clock: while uncontended, bulk
-		// strides never advanced it, and a stale estimate would over-grant
-		// headroom across the rotation deadline armed below.
-		m.estCycle = cycle
-	}
 	if !m.contended && m.cfg.Policy == MuxRoundRobin {
 		// A shrunken budget can overcommit a list that used to fit; start
 		// rotating from here. (A re-grown budget keeps rotating — a

@@ -14,6 +14,7 @@ import (
 	"pmutrust/internal/cpu"
 	"pmutrust/internal/machine"
 	"pmutrust/internal/pmu"
+	"pmutrust/internal/telemetry"
 	"pmutrust/internal/workloads"
 )
 
@@ -25,42 +26,10 @@ func muxMenu() []pmu.Event {
 	}
 }
 
-// synthStream in bulk_test.go jumps the retirement clock by at most ~42
-// cycles per event; 64 is a safe per-instruction bound for replays.
-const synthMaxCycles = 64
-
 // muxReplayDirect feeds every event through OnRetire.
 func muxReplayDirect(m *pmu.Mux, evs []cpu.RetireEvent) {
 	for _, ev := range evs {
 		m.OnRetire(ev)
-	}
-}
-
-// muxReplayBulk drives the engine protocol: FastHeadroom-bounded strides
-// of at most chunk events through BulkRetire, per-instruction OnRetire
-// whenever the grant is zero — exactly how RunFast treats a FastMonitor.
-func muxReplayBulk(m *pmu.Mux, evs []cpu.RetireEvent, chunk int) {
-	i := 0
-	for i < len(evs) {
-		h := m.FastHeadroom()
-		if h == 0 {
-			m.OnRetire(evs[i])
-			i++
-			continue
-		}
-		n := chunk
-		if uint64(n) > h {
-			n = int(h)
-		}
-		if n > len(evs)-i {
-			n = len(evs) - i
-		}
-		var c cpu.BulkCounts
-		for j := 0; j < n; j++ {
-			accumulate(&c, evs[i+j])
-		}
-		m.BulkRetire(c)
-		i += n
 	}
 }
 
@@ -90,41 +59,36 @@ func TestMuxBulkEquivalence(t *testing.T) {
 	}{
 		{
 			name: "uncontended-all-fit",
-			cfg: pmu.MuxConfig{Events: muxMenu()[:3], GenCounters: 4,
-				TimesliceCycles: 50, MaxCyclesPerInstr: synthMaxCycles},
+			cfg:  pmu.MuxConfig{Events: muxMenu()[:3], GenCounters: 4, TimesliceCycles: 50},
 		},
 		{
 			name: "contended-rr-short-slice",
-			cfg: pmu.MuxConfig{Events: muxMenu(), GenCounters: 3,
-				TimesliceCycles: 100, MaxCyclesPerInstr: synthMaxCycles},
+			cfg:  pmu.MuxConfig{Events: muxMenu(), GenCounters: 3, TimesliceCycles: 100},
 		},
 		{
 			name: "contended-rr-long-slice",
-			cfg: pmu.MuxConfig{Events: muxMenu(), GenCounters: 3,
-				TimesliceCycles: 1500, MaxCyclesPerInstr: synthMaxCycles},
+			cfg:  pmu.MuxConfig{Events: muxMenu(), GenCounters: 3, TimesliceCycles: 1500},
 		},
 		{
 			name: "contended-rr-fixed-counter",
 			cfg: pmu.MuxConfig{Events: muxMenu(), GenCounters: 2, FixedCounterFree: true,
-				TimesliceCycles: 300, MaxCyclesPerInstr: synthMaxCycles},
+				TimesliceCycles: 300},
 		},
 		{
 			name: "contended-priority-starves",
 			cfg: pmu.MuxConfig{Events: muxMenu(), GenCounters: 2, Policy: pmu.MuxPriority,
-				TimesliceCycles: 100, MaxCyclesPerInstr: synthMaxCycles},
+				TimesliceCycles: 100},
 		},
 		{
 			name: "duplicate-events",
 			cfg: pmu.MuxConfig{
 				Events: []pmu.Event{pmu.EvInstRetired, pmu.EvInstRetired, pmu.EvLoad,
 					pmu.EvLoad, pmu.EvBrTaken},
-				GenCounters: 2, FixedCounterFree: true,
-				TimesliceCycles: 200, MaxCyclesPerInstr: synthMaxCycles},
+				GenCounters: 2, FixedCounterFree: true, TimesliceCycles: 200},
 		},
 		{
 			name: "single-counter-many-events",
-			cfg: pmu.MuxConfig{Events: muxMenu()[:6], GenCounters: 1,
-				TimesliceCycles: 75, MaxCyclesPerInstr: synthMaxCycles},
+			cfg:  pmu.MuxConfig{Events: muxMenu()[:6], GenCounters: 1, TimesliceCycles: 75},
 		},
 	}
 
@@ -134,7 +98,7 @@ func TestMuxBulkEquivalence(t *testing.T) {
 				direct := pmu.NewMux(tc.cfg, nil)
 				muxReplayDirect(direct, evs)
 				bulk := pmu.NewMux(tc.cfg, nil)
-				muxReplayBulk(bulk, evs, chunk)
+				replayBulk(bulk, evs, chunk)
 				if direct.Rotations != bulk.Rotations {
 					t.Fatalf("rotations diverge: direct %d, bulk %d", direct.Rotations, bulk.Rotations)
 				}
@@ -154,7 +118,7 @@ func TestMuxWrapsSamplingPMU(t *testing.T) {
 	final := evs[len(evs)-1].Cycle
 	pmuCfg := pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.PreciseDist, Period: 50, Seed: 3}
 	muxCfg := pmu.MuxConfig{Events: muxMenu(), GenCounters: 3,
-		TimesliceCycles: 120, MaxCyclesPerInstr: synthMaxCycles}
+		TimesliceCycles: 120}
 
 	bare := pmu.New(pmuCfg)
 	replayDirect(bare, evs)
@@ -167,7 +131,7 @@ func TestMuxWrapsSamplingPMU(t *testing.T) {
 	for _, chunk := range []int{1, 7, 64, 4000} {
 		inner2 := pmu.New(pmuCfg)
 		bulk := pmu.NewMux(muxCfg, inner2)
-		muxReplayBulk(bulk, evs, chunk)
+		replayBulk(bulk, evs, chunk)
 		if err := diffUnits(inner1, inner2); err != nil {
 			t.Fatalf("chunk %d: inner PMU diverges: %v", chunk, err)
 		}
@@ -188,10 +152,9 @@ func TestMuxExactMatchesEngines(t *testing.T) {
 	p := workloads.MustBuild("G4Box", 0.05)
 	cfg := machine.IvyBridge().CPU
 	muxCfg := pmu.MuxConfig{
-		Events:            muxMenu(),
-		GenCounters:       3,
-		TimesliceCycles:   500,
-		MaxCyclesPerInstr: cfg.MaxRetireCyclesPerInstr(),
+		Events:          muxMenu(),
+		GenCounters:     3,
+		TimesliceCycles: 500,
 	}
 
 	mi := pmu.NewMux(muxCfg, nil)
@@ -244,16 +207,15 @@ func TestMuxUncontended(t *testing.T) {
 	evs := synthStream(2000)
 	final := evs[len(evs)-1].Cycle
 	m := pmu.NewMux(pmu.MuxConfig{
-		Events:            []pmu.Event{pmu.EvInstRetired, pmu.EvLoad, pmu.EvBrTaken},
-		GenCounters:       2,
-		FixedCounterFree:  true,
-		MaxCyclesPerInstr: synthMaxCycles,
+		Events:           []pmu.Event{pmu.EvInstRetired, pmu.EvLoad, pmu.EvBrTaken},
+		GenCounters:      2,
+		FixedCounterFree: true,
 	}, nil)
 	if m.Contended() {
 		t.Fatal("fitting request list reported contended")
 	}
-	if h := m.FastHeadroom(); h != 1<<40 {
-		t.Fatalf("uncontended headroom = %d, want unlimited", h)
+	if g, d := m.FastHeadroom(0); g != 1<<40 || d != cpu.NoDeadline {
+		t.Fatalf("uncontended headroom = %d, deadline %d; want unlimited, none", g, d)
 	}
 	muxReplayDirect(m, evs)
 	for _, c := range m.Finish(final) {
@@ -278,14 +240,13 @@ func TestMuxPriorityStarvation(t *testing.T) {
 	evs := synthStream(2000)
 	final := evs[len(evs)-1].Cycle
 	m := pmu.NewMux(pmu.MuxConfig{
-		Events:            []pmu.Event{pmu.EvLoad, pmu.EvStore, pmu.EvBrTaken, pmu.EvCondBr},
-		GenCounters:       2,
-		Policy:            pmu.MuxPriority,
-		TimesliceCycles:   100,
-		MaxCyclesPerInstr: synthMaxCycles,
+		Events:          []pmu.Event{pmu.EvLoad, pmu.EvStore, pmu.EvBrTaken, pmu.EvCondBr},
+		GenCounters:     2,
+		Policy:          pmu.MuxPriority,
+		TimesliceCycles: 100,
 	}, nil)
-	if h := m.FastHeadroom(); h != 1<<40 {
-		t.Fatalf("priority policy costs fast-path headroom: %d", h)
+	if g, d := m.FastHeadroom(0); g != 1<<40 || d != cpu.NoDeadline {
+		t.Fatalf("priority policy costs fast-path headroom: %d, deadline %d", g, d)
 	}
 	muxReplayDirect(m, evs)
 	counts := m.Finish(final)
@@ -316,10 +277,9 @@ func TestMuxFixedCounterRule(t *testing.T) {
 	// inst_retired + one general counter's worth of loads: both fit only
 	// because inst_retired takes the fixed counter.
 	m := pmu.NewMux(pmu.MuxConfig{
-		Events:            []pmu.Event{pmu.EvLoad, pmu.EvInstRetired},
-		GenCounters:       1,
-		FixedCounterFree:  true,
-		MaxCyclesPerInstr: synthMaxCycles,
+		Events:           []pmu.Event{pmu.EvLoad, pmu.EvInstRetired},
+		GenCounters:      1,
+		FixedCounterFree: true,
 	}, nil)
 	if m.Contended() {
 		t.Fatal("fixed counter not used for inst_retired")
@@ -334,43 +294,65 @@ func TestMuxFixedCounterRule(t *testing.T) {
 	// Two non-inst events with one general counter + a free fixed
 	// counter: the fixed counter cannot host them, so the mux rotates.
 	m2 := pmu.NewMux(pmu.MuxConfig{
-		Events:            []pmu.Event{pmu.EvLoad, pmu.EvStore},
-		GenCounters:       1,
-		FixedCounterFree:  true,
-		TimesliceCycles:   100,
-		MaxCyclesPerInstr: synthMaxCycles,
+		Events:           []pmu.Event{pmu.EvLoad, pmu.EvStore},
+		GenCounters:      1,
+		FixedCounterFree: true,
+		TimesliceCycles:  100,
 	}, nil)
 	if !m2.Contended() {
 		t.Fatal("fixed counter wrongly hosted a non-inst_retired event")
 	}
 }
 
-// TestMuxHeadroomNearDeadline pins the deadline arithmetic: the grant
-// never reaches the rotation deadline.
+// TestMuxHeadroomNearDeadline pins the deadline contract: the mux grants
+// while the engine's horizon is short of the rotation deadline and hands
+// the deadline to the engine's fence, refuses with exactly one
+// mux_deadline fallback once the horizon reaches it, and re-arms one
+// timeslice after the service cycle. Wrapping a sampling unit, the grant
+// is the unit's and the deadline the lesser of the two.
 func TestMuxHeadroomNearDeadline(t *testing.T) {
 	m := pmu.NewMux(pmu.MuxConfig{
-		Events:            muxMenu()[:4],
-		GenCounters:       1,
-		TimesliceCycles:   1000,
-		MaxCyclesPerInstr: 10,
+		Events:          muxMenu()[:4],
+		GenCounters:     1,
+		TimesliceCycles: 1000,
 	}, nil)
-	// estCycle 0, deadline 1000: grant is (1000-0-1)/10 = 99.
-	if h := m.FastHeadroom(); h != 99 {
-		t.Fatalf("fresh grant = %d, want 99", h)
+	fallbacks := func() uint64 {
+		return m.EngineCounters().Fallbacks[telemetry.FallbackMuxDeadline]
 	}
-	// A retirement at cycle 995 puts the clock within one worst-case
-	// instruction of the deadline: grant 0.
+	if g, d := m.FastHeadroom(999); g != 1<<40 || d != 1000 {
+		t.Fatalf("horizon 999: grant %d, deadline %d; want unlimited, 1000", g, d)
+	}
+	if n := fallbacks(); n != 0 {
+		t.Fatalf("a grant counted %d mux_deadline fallbacks", n)
+	}
+	if g, _ := m.FastHeadroom(1000); g != 0 {
+		t.Fatalf("horizon at the deadline: grant %d, want 0", g)
+	}
+	if n := fallbacks(); n != 1 {
+		t.Fatalf("one refusal counted %d mux_deadline fallbacks, want 1", n)
+	}
+	// The first retirement at or past the deadline rotates, and the next
+	// deadline is one timeslice after its cycle.
 	m.OnRetire(cpu.RetireEvent{Idx: 1, Cycle: 995, Seq: 1, Uops: 1})
-	if h := m.FastHeadroom(); h != 0 {
-		t.Fatalf("near-deadline grant = %d, want 0", h)
+	if m.Rotations != 0 {
+		t.Fatalf("rotated before the deadline")
 	}
-	// Crossing the deadline rotates and opens a fresh timeslice.
 	m.OnRetire(cpu.RetireEvent{Idx: 2, Cycle: 1005, Seq: 2, Uops: 1})
 	if m.Rotations != 1 {
 		t.Fatalf("rotations = %d, want 1", m.Rotations)
 	}
-	if h := m.FastHeadroom(); h != 99 {
-		t.Fatalf("post-rotation grant = %d, want 99", h)
+	if g, d := m.FastHeadroom(1085); g != 1<<40 || d != 2005 {
+		t.Fatalf("post-rotation grant %d, deadline %d; want unlimited, 2005", g, d)
+	}
+
+	inner := pmu.New(pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.PreciseDist, Period: 10, Seed: 1})
+	wrapped := pmu.NewMux(pmu.MuxConfig{
+		Events:          muxMenu()[:4],
+		GenCounters:     1,
+		TimesliceCycles: 1000,
+	}, inner)
+	if g, d := wrapped.FastHeadroom(0); g != 9 || d != 1000 {
+		t.Fatalf("wrapped grant %d, deadline %d; want 9, 1000", g, d)
 	}
 }
 
@@ -387,16 +369,13 @@ func TestMuxValidation(t *testing.T) {
 		})
 	}
 	expectPanic("no-events", func() {
-		pmu.NewMux(pmu.MuxConfig{GenCounters: 4, MaxCyclesPerInstr: 10}, nil)
+		pmu.NewMux(pmu.MuxConfig{GenCounters: 4}, nil)
 	})
 	expectPanic("no-counters", func() {
-		pmu.NewMux(pmu.MuxConfig{Events: muxMenu()[:2], MaxCyclesPerInstr: 10}, nil)
-	})
-	expectPanic("no-cycle-bound", func() {
-		pmu.NewMux(pmu.MuxConfig{Events: muxMenu()[:2], GenCounters: 4}, nil)
+		pmu.NewMux(pmu.MuxConfig{Events: muxMenu()[:2]}, nil)
 	})
 	expectPanic("double-finish", func() {
-		m := pmu.NewMux(pmu.MuxConfig{Events: muxMenu()[:2], GenCounters: 4, MaxCyclesPerInstr: 10}, nil)
+		m := pmu.NewMux(pmu.MuxConfig{Events: muxMenu()[:2], GenCounters: 4}, nil)
 		m.Finish(100)
 		m.Finish(100)
 	})

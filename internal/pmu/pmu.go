@@ -579,7 +579,8 @@ var _ cpu.FastMonitor = (*PMU)(nil)
 // displaced IBS tag — or when the counter is within one event of overflow
 // (which under HW 4-LSB randomization can mean an entire grant of zero:
 // tiny randomized reload values keep the unit permanently near a
-// boundary).
+// boundary). The unit counts events, not cycles: it ignores the horizon
+// and has no deadline (cpu.NoDeadline).
 //
 // For uop-counted events the unit budget is converted to instructions by
 // dividing by isa.MaxUops; every other countable event contributes at
@@ -588,34 +589,34 @@ var _ cpu.FastMonitor = (*PMU)(nil)
 // Each zero grant increments exactly one telemetry fallback bucket —
 // the first stateful window that refused, checked in delivery order —
 // so the buckets always sum to the total number of fallback events.
-func (p *PMU) FastHeadroom() uint64 {
+func (p *PMU) FastHeadroom(horizon uint64) (uint64, uint64) {
 	if p.pendingPMI {
 		p.tele.Fallbacks[telemetry.FallbackOverflow]++
-		return 0
+		return 0, cpu.NoDeadline
 	}
 	if p.pendingIBS {
 		p.tele.Fallbacks[telemetry.FallbackIBSTag]++
-		return 0
+		return 0, cpu.NoDeadline
 	}
 	if p.armed {
 		p.tele.Fallbacks[telemetry.FallbackArmedPEBS]++
-		return 0
+		return 0, cpu.NoDeadline
 	}
 	if p.counter+1 >= p.effPeriod {
 		p.countNearOverflow()
-		return 0
+		return 0, cpu.NoDeadline
 	}
 	avail := p.effPeriod - p.counter - 1
 	if p.cfg.Event == EvUopsRetired {
 		if g := avail / isa.MaxUops; g > 0 {
-			return g
+			return g, cpu.NoDeadline
 		}
 		// The unit budget exists but does not cover even one worst-case
 		// instruction: still an overflow-adjacent refusal.
 		p.countNearOverflow()
-		return 0
+		return 0, cpu.NoDeadline
 	}
-	return avail
+	return avail, cpu.NoDeadline
 }
 
 // countNearOverflow attributes a zero grant caused by the counter sitting

@@ -304,12 +304,11 @@ func PrepareCell(mach machine.Machine, m Method, opt Options) (Cell, error) {
 		genFree, fixedFree := CounterBudget(mach, resolved)
 		cell.UseMux = true
 		cell.Mux = pmu.MuxConfig{
-			Events:            opt.Events,
-			TimesliceCycles:   opt.MuxTimesliceCycles,
-			Policy:            opt.MuxPolicy,
-			GenCounters:       genFree,
-			FixedCounterFree:  fixedFree,
-			MaxCyclesPerInstr: mach.CPU.MaxRetireCyclesPerInstr(),
+			Events:           opt.Events,
+			TimesliceCycles:  opt.MuxTimesliceCycles,
+			Policy:           opt.MuxPolicy,
+			GenCounters:      genFree,
+			FixedCounterFree: fixedFree,
 		}
 	}
 	return cell, nil

@@ -84,10 +84,10 @@ type mark struct {
 
 // task wraps a tenant's monitor chain (PMU, optionally behind a Mux) and
 // services scheduler deadlines on its local clock. It implements
-// cpu.FastMonitor with the same conservative-clock pattern as pmu.Mux:
-// deadlines are serviced at the first retirement whose cycle reaches
-// them, before that retirement is counted, and FastHeadroom never grants
-// instructions that could reach the deadline.
+// cpu.FastMonitor with the same deadline pattern as pmu.Mux: deadlines
+// are serviced at the first retirement whose cycle reaches them, before
+// that retirement is counted; FastHeadroom hands the deadline to the
+// engine's stride-loop fence and refuses once the horizon reaches it.
 type task struct {
 	unit *pmu.PMU
 	mux  *pmu.Mux        // nil without counting events
@@ -95,12 +95,7 @@ type task struct {
 
 	slice        uint64
 	kernelLeak   uint64 // leaked kernel instructions per switch-in
-	maxCyc       uint64 // machine worst-case cycles per instruction
 	nextDeadline uint64
-	// estCycle is a conservative upper bound on the retirement cycle:
-	// exact after every OnRetire, advanced by maxCyc per strided
-	// instruction in BulkRetire. Only headroom grants read it.
-	estCycle uint64
 
 	migrate  []machine.Machine
 	resolved sampling.Method
@@ -157,33 +152,22 @@ func (t *task) OnRetire(ev cpu.RetireEvent) {
 	if ev.Cycle >= t.nextDeadline {
 		t.service(ev)
 	}
-	t.estCycle = ev.Cycle
 	t.mon.OnRetire(ev)
 }
 
-// FastHeadroom implements cpu.FastMonitor: the lesser of the wrapped
-// chain's grant and the deadline grant, which divides the remaining
-// cycle distance by the worst-case per-instruction advance so no strided
-// retirement can reach the deadline. A drifted conservative clock grants
-// zero; the next OnRetire resynchronizes it.
-// A zero deadline grant returns before consulting the wrapped chain, so
-// exactly one layer attributes each fallback event (headroom queries are
-// pure modulo telemetry); when the chain is the refuser it has already
-// counted its reason.
-func (t *task) FastHeadroom() uint64 {
-	if t.estCycle >= t.nextDeadline {
+// FastHeadroom implements cpu.FastMonitor: the wrapped chain's grant,
+// and the lesser of its deadline and the scheduler deadline. A horizon
+// at or past the deadline is refused before consulting the wrapped
+// chain, so exactly one layer attributes each fallback event (headroom
+// queries are pure modulo telemetry); when the chain is the refuser it
+// has already counted its reason.
+func (t *task) FastHeadroom(horizon uint64) (uint64, uint64) {
+	if horizon >= t.nextDeadline {
 		t.tele.Fallbacks[telemetry.FallbackSchedDeadline]++
-		return 0
+		return 0, t.nextDeadline
 	}
-	h := (t.nextDeadline - t.estCycle - 1) / t.maxCyc
-	if h == 0 {
-		t.tele.Fallbacks[telemetry.FallbackSchedDeadline]++
-		return 0
-	}
-	if ih := t.mon.FastHeadroom(); ih < h {
-		h = ih
-	}
-	return h
+	g, d := t.mon.FastHeadroom(horizon)
+	return g, min(d, t.nextDeadline)
 }
 
 // WantBranches implements cpu.FastMonitor by delegation.
@@ -194,13 +178,9 @@ func (t *task) OnFastBranch(from, to uint32, op isa.Op) {
 	t.mon.OnFastBranch(from, to, op)
 }
 
-// BulkRetire implements cpu.FastMonitor: advance the conservative clock
-// and forward the stride. The headroom grant guarantees no deadline lies
-// inside it.
-func (t *task) BulkRetire(c cpu.BulkCounts) {
-	t.estCycle += c.Instrs * t.maxCyc
-	t.mon.BulkRetire(c)
-}
+// BulkRetire implements cpu.FastMonitor by delegation: the engine's
+// fence guarantees no deadline lies inside the stride.
+func (t *task) BulkRetire(c cpu.BulkCounts) { t.mon.BulkRetire(c) }
 
 var _ cpu.FastMonitor = (*task)(nil)
 
@@ -323,7 +303,6 @@ func runTenant(p *program.Program, mach machine.Machine, m sampling.Method, opt 
 		mon:          unit,
 		slice:        slice,
 		kernelLeak:   kernelLeak,
-		maxCyc:       mach.CPU.MaxRetireCyclesPerInstr(),
 		nextDeadline: slice,
 		migrate:      opt.Migrate,
 		resolved:     cell.Resolved,

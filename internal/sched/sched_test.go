@@ -10,6 +10,7 @@ import (
 	"pmutrust/internal/program"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/sched"
+	"pmutrust/internal/telemetry"
 	"pmutrust/internal/workloads"
 )
 
@@ -406,6 +407,41 @@ func TestTenantFuzzPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d method %s: %v", seed, m.Key, err)
 			}
+		}
+	}
+}
+
+// TestTenantStridesPerSlice: the engine strides through a timeslice up
+// to its deadline fence, so a tenant run needs about one stride per
+// context switch and per sampling overflow, not one per handful of
+// instructions. The bound allows each tenant a stride at run start and
+// one at run end on top; every instruction is still accounted once,
+// strided or in event mode.
+func TestTenantStridesPerSlice(t *testing.T) {
+	pdir := mustMethod(t, "pdir+ipfix")
+	for _, n := range []int{2, 4, 8} {
+		progs := tenantProgs(t, n, 0.25)
+		sink := &telemetry.Sink{}
+		runs, err := sched.Collect(progs, machine.IvyBridge(), pdir, sched.Options{
+			Options: sampling.Options{PeriodBase: 2000, Seed: 7, Telemetry: sink},
+		})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		var switches, overflows, instrs uint64
+		for _, run := range runs {
+			switches += run.Sched.Switches
+			overflows += run.Overflows
+			instrs += run.CPU.Instructions
+		}
+		e := sink.Snapshot("").Engine
+		if bound := switches + overflows + 2*uint64(n); e.Strides > bound {
+			t.Errorf("n=%d: %d strides, want at most %d (switches %d + overflows %d + 2n)",
+				n, e.Strides, bound, switches, overflows)
+		}
+		if got := e.StrideInstrs + e.EventInstrs; got != instrs {
+			t.Errorf("n=%d: telemetry saw %d instructions (stride %d + event %d), tenants retired %d",
+				n, got, e.StrideInstrs, e.EventInstrs, instrs)
 		}
 	}
 }

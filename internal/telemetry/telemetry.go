@@ -49,11 +49,12 @@ const (
 	// FallbackArmedPEBS is an armed PEBS capture window waiting for an
 	// eligible occurrence.
 	FallbackArmedPEBS
-	// FallbackMuxDeadline is a multiplexer rotation deadline the next
-	// instruction could reach.
+	// FallbackMuxDeadline is a multiplexer rotation deadline within the
+	// engine's horizon: its stride-loop fence has fired, and the
+	// retirements up to the deadline run in event mode.
 	FallbackMuxDeadline
-	// FallbackSchedDeadline is a scheduler timeslice deadline the next
-	// instruction could reach.
+	// FallbackSchedDeadline is a scheduler timeslice deadline within the
+	// engine's horizon, as for FallbackMuxDeadline.
 	FallbackSchedDeadline
 	// FallbackIBSTag is a displaced IBS tag waiting to report.
 	FallbackIBSTag
