@@ -90,9 +90,11 @@
 // a comma-separated list, default 1,2,4,8) and "tenants-timeslice" the
 // scheduling period at a fixed four tenants. -switch-cost overrides the
 // per-machine context-switch cost in simulated cycles (0 = each model's
-// calibrated default). The n=1 column is collected by the unscheduled
-// sampling path with identical seeds, so it is bit-identical to the
-// plain accuracy tables.
+// calibrated default); the cost is not part of a cell's store identity,
+// so cells at a non-zero cost are never served from or written to
+// -store. The n=1 column is collected by the unscheduled sampling path
+// with identical seeds, so it is bit-identical to the plain accuracy
+// tables.
 //
 // "-experiment phased" measures the registered phased/bursty workload
 // family (the hand-built PhaseShift plus the spec-generated alternate,
@@ -214,7 +216,7 @@ func main() {
 		timeslice  = flag.Uint64("timeslice", 0, "multiplexer rotation timeslice in simulated cycles (0 = default)")
 		muxPolicy  = flag.String("mux-policy", "rr", "multiplexer rotation policy: rr or priority")
 		tenantsF   = flag.String("tenants", "", "comma-separated simulated tenant counts for -experiment tenants (empty = 1,2,4,8)")
-		switchCost = flag.Uint64("switch-cost", 0, "context-switch cost in simulated cycles for the tenants experiments (0 = per-machine default)")
+		switchCost = flag.Uint64("switch-cost", 0, "context-switch cost in simulated cycles for the tenants experiments (0 = per-machine default; a non-zero cost is not part of the cell identity, so those cells are never stored)")
 		specFile   = flag.String("spec", "", "measure this phased spec file through the accuracy matrix instead of a built-in experiment")
 		serve      = flag.Bool("serve", false, "coordinator mode: run the matrix experiment as a sharded sweep under -sweep-dir")
 		workerMode = flag.Bool("worker", false, "worker mode: claim and measure shards of the sweep under -sweep-dir, then exit")
@@ -291,14 +293,9 @@ func main() {
 		os.Exit(0)
 	}
 
-	var scale experiments.Scale
-	switch *scaleName {
-	case "paper":
-		scale = experiments.PaperScale()
-	case "small":
-		scale = experiments.SmallScale()
-	default:
-		fmt.Fprintf(os.Stderr, "pmubench: unknown scale %q\n", *scaleName)
+	scale, err := experiments.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pmubench: %v\n", err)
 		os.Exit(2)
 	}
 	r := experiments.NewRunner(scale, *seed)
@@ -368,8 +365,8 @@ func main() {
 	// Coordinator mode: run the distributed sweep to completion, then
 	// attach the merged shard files as the runner's store and fall through
 	// to the normal experiment path — the final render is served entirely
-	// from worker-written records (the store summary proves it: 0 newly
-	// measured), and any cell the fleet failed on is measured here.
+	// from worker-written records (the store summary proves it:
+	// measured=0), and any cell the fleet failed on is measured here.
 	storeLabel := *storePath
 	if *serve {
 		if *specFile != "" {
@@ -714,7 +711,7 @@ func main() {
 	}
 	if store != nil {
 		// The served/measured split is the resume observable: a fully
-		// warm resume reports "0 newly measured".
+		// warm resume reports measured=0.
 		stats := r.StoreStats()
 		logger.Info("store summary", "store", storeLabel, "run_id", runID,
 			"records", store.Len(), "served", stats.Cached, "measured", stats.Measured)

@@ -20,7 +20,6 @@ import (
 	"pmutrust/internal/cpu"
 	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
-	"pmutrust/internal/profile"
 	"pmutrust/internal/program"
 	"pmutrust/internal/ref"
 	"pmutrust/internal/report"
@@ -106,17 +105,13 @@ func run(workloadName, machineName, methodKey string, scale float64, period, see
 		return err
 	}
 
-	var bp *profile.BlockProfile
+	bp, ds, err := lbr.Profile(p, run)
+	if err != nil {
+		return err
+	}
 	if run.Method.UseLBRStack {
-		var ds lbr.DecodeStats
-		bp, ds, err = lbr.BuildProfile(p, run)
-		if err != nil {
-			return err
-		}
 		fmt.Printf("LBR decode: %d stacks, %d segments, %d malformed\n",
 			ds.Stacks, ds.Segments, ds.Malformed)
-	} else {
-		bp = profile.FromSamples(p, run)
 	}
 
 	errVal, err := analysis.AccuracyError(bp, reference)

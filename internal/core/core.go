@@ -17,7 +17,6 @@ import (
 	"pmutrust/internal/analysis"
 	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
-	"pmutrust/internal/profile"
 	"pmutrust/internal/program"
 	"pmutrust/internal/ref"
 	"pmutrust/internal/sampling"
@@ -100,14 +99,9 @@ func Assess(p *program.Program, mach machine.Machine, opt Options) (*Assessment,
 			if err != nil {
 				return nil, fmt.Errorf("core: %s: %w", m.Key, err)
 			}
-			var bp *profile.BlockProfile
-			if run.Method.UseLBRStack {
-				bp, _, err = lbr.BuildProfile(p, run)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				bp = profile.FromSamples(p, run)
+			bp, _, err := lbr.Profile(p, run)
+			if err != nil {
+				return nil, err
 			}
 			e, err := analysis.AccuracyError(bp, reference)
 			if err != nil {

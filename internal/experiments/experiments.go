@@ -18,11 +18,11 @@ import (
 	"pmutrust/internal/analysis"
 	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
-	"pmutrust/internal/profile"
 	"pmutrust/internal/program"
 	"pmutrust/internal/ref"
 	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
+	"pmutrust/internal/sched"
 	"pmutrust/internal/stats"
 	"pmutrust/internal/telemetry"
 	"pmutrust/internal/workloads"
@@ -120,11 +120,14 @@ type Runner struct {
 	// and store fingerprints — do not depend on this; EngineBoth
 	// self-checks each cell at twice the cost.
 	Engine sampling.EngineMode
-	// Store, when non-nil, makes the matrix experiments (Tables 1 and 2)
-	// incremental: grid cells already present in the store are served
-	// from it and newly measured cells are appended (see SweepCached).
-	// Any results.Store backend works — a FileStore for single-file
-	// resume, a DirStore merged view for distributed sweeps.
+	// Store, when non-nil, makes every grid incremental (the accuracy
+	// matrices, the mux grids and the tenant grids): the cell path serves
+	// cells already present in the store and appends newly measured ones
+	// (see cached.go). Cells whose configuration the identity does not
+	// fully name (a custom mux event list, a non-default switch cost)
+	// bypass it and are never stored. Any results.Store backend works — a
+	// FileStore for single-file resume, a DirStore merged view for
+	// distributed sweeps.
 	Store results.Store
 	// RefStore, when non-nil, memoizes ground-truth reference profiles
 	// across processes: Reference serves a workload's profile from the
@@ -133,15 +136,18 @@ type Runner struct {
 	// the reserved results.RefMethod key and never mix with measurements.
 	RefStore results.Store
 	// Telemetry, when non-nil, receives engine counters from every
-	// measurement, per-cell wall-time observations, and the ref/store
-	// served-vs-measured splits. Nil disables instrumentation at no cost.
+	// measurement, the ref served-vs-collected split, and from the cell
+	// path the cells' stored/measured counts and one wall-time
+	// observation per measured supported cell. A Measure call outside
+	// any grid is not a cell and is not counted or observed. Nil disables
+	// instrumentation at no cost.
 	Telemetry *telemetry.Sink
 
 	mu    sync.Mutex
 	progs map[string]*progEntry
 	refs  map[string]*refEntry
-	// storeStats accumulates the served/measured split across every
-	// store-aware sweep (see sweep and StoreStats).
+	// storeStats accumulates the cell path's served/measured split (see
+	// countCells and StoreStats).
 	storeStats SweepStats
 	// refStats accumulates the served/collected split of reference
 	// lookups (see RefStats).
@@ -236,34 +242,53 @@ func (r *Runner) repeatSeed(spec workloads.Spec, mach machine.Machine, m samplin
 // MeasureOnce runs one (workload, machine, method) measurement with one
 // seed and returns the accuracy error and the sample count.
 func (r *Runner) MeasureOnce(spec workloads.Spec, mach machine.Machine, m sampling.Method, seed uint64) (float64, int, error) {
-	p := r.Workload(spec)
-	reference, err := r.Reference(spec)
-	if err != nil {
-		return 0, 0, err
-	}
-	run, err := sampling.Collect(p, mach, m, sampling.Options{
-		PeriodBase: r.Scale.PeriodBase,
-		Seed:       seed,
-		Engine:     r.Engine,
-		Telemetry:  r.Telemetry,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	var bp *profile.BlockProfile
-	if run.Method.UseLBRStack {
-		bp, _, err = lbr.BuildProfile(p, run)
-		if err != nil {
-			return 0, 0, err
-		}
-	} else {
-		bp = profile.FromSamples(p, run)
-	}
-	e, err := analysis.AccuracyError(bp, reference)
+	e, run, err := r.measureOnce(spec, mach, m, 1, 0, 0, seed)
 	if err != nil {
 		return 0, 0, err
 	}
 	return e, len(run.Samples), nil
+}
+
+// measureOnce is the one collect → estimate → score body: n tenants all
+// run the workload (homogeneous tenancy, the self-interference worst
+// case) under sched.Collect, which hands n = 1 to sampling.Collect
+// unchanged, and the measured tenant's (tenant 0's) profile estimate is
+// scored against the exact reference. It returns the error and the
+// measured tenant's run.
+func (r *Runner) measureOnce(spec workloads.Spec, mach machine.Machine, m sampling.Method,
+	n int, timeslice, switchCost, seed uint64) (float64, *sampling.Run, error) {
+
+	p := r.Workload(spec)
+	reference, err := r.Reference(spec)
+	if err != nil {
+		return 0, nil, err
+	}
+	progs := make([]*program.Program, n)
+	for i := range progs {
+		progs[i] = p
+	}
+	runs, err := sched.Collect(progs, mach, m, sched.Options{
+		Options: sampling.Options{
+			PeriodBase:            r.Scale.PeriodBase,
+			Seed:                  seed,
+			Engine:                r.Engine,
+			SchedTimesliceCycles:  timeslice,
+			SchedSwitchCostCycles: switchCost,
+			Telemetry:             r.Telemetry,
+		},
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	bp, _, err := lbr.Profile(p, runs[0])
+	if err != nil {
+		return 0, nil, err
+	}
+	e, err := analysis.AccuracyError(bp, reference)
+	if err != nil {
+		return 0, nil, err
+	}
+	return e, runs[0], nil
 }
 
 // Measure runs the configured number of repeats and averages. Each
@@ -273,30 +298,39 @@ func (r *Runner) MeasureOnce(spec workloads.Spec, mach machine.Machine, m sampli
 // successful ones are still aggregated into the returned Measurement and
 // the per-repeat failures come back joined into one error.
 func (r *Runner) Measure(spec workloads.Spec, mach machine.Machine, m sampling.Method) (Measurement, error) {
+	meas, _, err := r.measure(spec, mach, m, 1, 0, 0)
+	return meas, err
+}
+
+// measure is the one repeat loop behind Measure and MeasureTenants: it
+// runs measureOnce with n tenants for each repeat and aggregates, and
+// also returns the first successful repeat's scheduling noise stats
+// (nil for one tenant). An unsupported cell is not run and reads Err -1.
+func (r *Runner) measure(spec workloads.Spec, mach machine.Machine, m sampling.Method,
+	n int, timeslice, switchCost uint64) (Measurement, *sampling.SchedStats, error) {
+
 	meas := Measurement{
 		Workload: spec.Name,
 		Machine:  mach.Name,
 		Method:   m.Key,
+		Err:      -1,
 	}
 	if _, ok := sampling.Resolve(m, mach); !ok {
-		meas.Err = -1
-		return meas, nil
+		return meas, nil, nil
 	}
 	meas.Supported = true
-	if r.Telemetry != nil {
-		start := time.Now()
-		defer func() { r.Telemetry.ObserveCellWall(time.Since(start)) }()
-	}
+	var sst *sampling.SchedStats
 	var errs []float64
 	var failures []error
 	for rep := 0; rep < r.Scale.Repeats; rep++ {
-		e, n, err := r.MeasureOnce(spec, mach, m, r.repeatSeed(spec, mach, m, rep))
+		e, run, err := r.measureOnce(spec, mach, m, n, timeslice, switchCost, r.repeatSeed(spec, mach, m, rep))
 		if err != nil {
 			failures = append(failures, fmt.Errorf("repeat %d: %w", rep, err))
 			continue
 		}
 		if len(errs) == 0 {
-			meas.Samples = n
+			meas.Samples = len(run.Samples)
+			sst = run.Sched
 		}
 		errs = append(errs, e)
 	}
@@ -304,8 +338,6 @@ func (r *Runner) Measure(spec workloads.Spec, mach machine.Machine, m sampling.M
 	meas.Failed = len(failures) > 0
 	if len(errs) > 0 {
 		meas.Err = stats.Mean(errs)
-	} else {
-		meas.Err = -1
 	}
-	return meas, errors.Join(failures...)
+	return meas, sst, errors.Join(failures...)
 }

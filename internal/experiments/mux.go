@@ -51,7 +51,7 @@ type MuxMeasurement struct {
 	Key string `json:"key"`
 	// MeanErr and MaxErr summarize the per-event relative counting error
 	// |scaled - exact| / exact over the requested events (starved events
-	// count as error 1).
+	// count as error 1). Both are -1 for a cell a sweep timeout abandoned.
 	MeanErr float64 `json:"mean_err"`
 	// MaxErr is -1 when the cell was served from a results store, which
 	// persists only the MeanErr summary (the repo's "-1 = not available"
@@ -85,23 +85,6 @@ func muxWorkloads() []workloads.Spec {
 		specs = append(specs, s)
 	}
 	return specs
-}
-
-// muxIdentity returns the results-store identity of a multiplexing cell:
-// the standard cell identity with the synthetic mux key on the method
-// axis, so mux records coexist with accuracy records in one store and
-// resume exactly like them.
-func (r *Runner) muxIdentity(spec workloads.Spec, mach machine.Machine, key string) results.Identity {
-	return results.Identity{
-		Workload:      spec.Name,
-		Machine:       mach.Name,
-		Method:        key,
-		Scale:         r.Scale.Name,
-		WorkloadScale: r.Scale.Workload,
-		PeriodBase:    r.Scale.PeriodBase,
-		Seed:          r.Seed,
-		Repeats:       r.Scale.Repeats,
-	}
 }
 
 // muxCellKey resolves the timeslice default and derives the cell's
@@ -156,48 +139,56 @@ func (r *Runner) MeasureMux(spec workloads.Spec, mach machine.Machine, events []
 	return meas, nil
 }
 
-// measureMuxCell is the store-aware wrapper around MeasureMux: cells
-// already in the Runner's store are served from it (summary only), new
-// measurements are appended, and the served/measured split feeds
-// StoreStats like every other cached sweep.
-func (r *Runner) measureMuxCell(spec workloads.Spec, mach machine.Machine, events []pmu.Event, timeslice uint64, policy pmu.MuxPolicy) (MuxMeasurement, error) {
-	timeslice, key := muxCellKey(events, timeslice, policy)
-	if r.Store != nil {
-		if rec, ok := r.Store.Get(r.muxIdentity(spec, mach, key).Key()); ok {
-			r.mu.Lock()
-			r.storeStats.Cached++
-			r.mu.Unlock()
-			return MuxMeasurement{
-				Workload: rec.Workload, Machine: rec.Machine, Key: rec.Method,
-				MeanErr: rec.Err, Rotations: uint64(rec.Samples),
-				// The store persists only the summary; mark the
-				// unrecoverable fields not-available rather than letting
-				// them read as genuinely zero.
-				MaxErr: -1, Starved: -1,
-			}, nil
+// muxCell is one mux grid cell on the cell path. Its identity carries
+// the request list's length (MuxKey), not the events themselves, so only
+// the fixed menu-prefix grids may store it: RunMuxCustom's cells go
+// through the path with no store.
+type muxCell struct {
+	spec      workloads.Spec
+	mach      machine.Machine
+	events    []pmu.Event
+	timeslice uint64
+	policy    pmu.MuxPolicy
+}
+
+func (c muxCell) coords() (string, string, string) {
+	_, key := muxCellKey(c.events, c.timeslice, c.policy)
+	return c.spec.Name, c.mach.Name, key
+}
+
+func (c muxCell) measure(r *Runner) (MuxMeasurement, error) {
+	return r.MeasureMux(c.spec, c.mach, c.events, c.timeslice, c.policy)
+}
+
+// record keeps only the summary: the mean error, and the rotation count
+// in the Samples field.
+func (muxCell) record(m MuxMeasurement) results.Record {
+	return results.Record{Err: m.MeanErr, Samples: int(m.Rotations), Supported: true}
+}
+
+func (muxCell) served(rec results.Record) MuxMeasurement {
+	return MuxMeasurement{
+		Workload: rec.Workload, Machine: rec.Machine, Key: rec.Method,
+		MeanErr: rec.Err, Rotations: uint64(rec.Samples),
+		// The store persists only the summary; mark the unrecoverable
+		// fields not-available rather than letting them read as
+		// genuinely zero.
+		MaxErr: -1, Starved: -1,
+	}
+}
+
+// muxCells returns the (workload × machine × config) cells of a mux
+// table in row order: workload, then machine, then config.
+func muxCells(configs []muxConfig) []muxCell {
+	var cells []muxCell
+	for _, spec := range muxWorkloads() {
+		for _, mach := range machine.All() {
+			for _, cfg := range configs {
+				cells = append(cells, muxCell{spec, mach, cfg.Events, cfg.Timeslice, cfg.Policy})
+			}
 		}
 	}
-	meas, err := r.MeasureMux(spec, mach, events, timeslice, policy)
-	if err != nil {
-		return meas, err
-	}
-	if r.Store != nil {
-		id := r.muxIdentity(spec, mach, key)
-		rec := results.Record{
-			Key:       id.Key(),
-			Identity:  id,
-			Err:       meas.MeanErr,
-			Samples:   int(meas.Rotations),
-			Supported: true,
-		}
-		if perr := r.Store.Put(rec); perr != nil {
-			return meas, perr
-		}
-	}
-	r.mu.Lock()
-	r.storeStats.Measured++
-	r.mu.Unlock()
-	return meas, nil
+	return cells
 }
 
 // muxConfig is one column of a mux table.
@@ -213,23 +204,7 @@ type muxConfig struct {
 // — the shape every mux table shares. The cell text is the mean relative
 // counting error.
 func (r *Runner) muxMatrix(title string, configs []muxConfig) (*report.Table, []MuxMeasurement, error) {
-	specs := muxWorkloads()
-	machines := machine.All()
-	perRow := len(configs)
-	rows := len(specs) * len(machines)
-	out := make([]MuxMeasurement, rows*perRow)
-
-	err := r.forEach(len(out), r.opts(), func(i int) error {
-		row, ci := splitIdx(i, perRow)
-		si, mi := splitIdx(row, len(machines))
-		cfg := configs[ci]
-		meas, err := r.measureMuxCell(specs[si], machines[mi], cfg.Events, cfg.Timeslice, cfg.Policy)
-		out[i] = meas
-		if err != nil {
-			return fmt.Errorf("%s/%s/%s: %w", specs[si].Name, machines[mi].Name, meas.Key, err)
-		}
-		return nil
-	})
+	out, _, err := runCells[MuxMeasurement](r, r.Store, r.opts(), muxCells(configs))
 	if err != nil {
 		return nil, out, err
 	}
@@ -239,14 +214,12 @@ func (r *Runner) muxMatrix(title string, configs []muxConfig) (*report.Table, []
 		headers = append(headers, c.Label)
 	}
 	t := report.New(title, headers...)
-	for si, spec := range specs {
-		for mi, mach := range machines {
-			row := []string{spec.Name, mach.Name}
-			for ci := range configs {
-				row = append(row, report.Fmt(out[flatIdx(flatIdx(si, mi, len(machines)), ci, perRow)].MeanErr))
-			}
-			t.AddRow(row...)
+	for i := 0; i < len(out); i += len(configs) {
+		row := []string{out[i].Workload, out[i].Machine}
+		for _, m := range out[i : i+len(configs)] {
+			row = append(row, report.Fmt(m.MeanErr))
 		}
+		t.AddRow(row...)
 	}
 	return t, out, nil
 }
@@ -327,18 +300,10 @@ func (r *Runner) RunMuxCustom(events []pmu.Event, timeslice uint64, policy pmu.M
 	if len(events) == 0 {
 		return nil, nil, fmt.Errorf("experiments: empty event list")
 	}
-	specs := muxWorkloads()
-	machines := machine.All()
-	out := make([]MuxMeasurement, len(specs)*len(machines))
-	err := r.forEach(len(out), r.opts(), func(i int) error {
-		si, mi := splitIdx(i, len(machines))
-		meas, err := r.MeasureMux(specs[si], machines[mi], events, timeslice, policy)
-		out[i] = meas
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", specs[si].Name, machines[mi].Name, err)
-		}
-		return nil
-	})
+	// No store: the identity does not name the events, so a custom list
+	// would alias the menu prefix of the same length.
+	out, _, err := runCells[MuxMeasurement](r, nil, r.opts(),
+		muxCells([]muxConfig{{Events: events, Timeslice: timeslice, Policy: policy}}))
 	if err != nil {
 		return nil, out, err
 	}
@@ -346,11 +311,10 @@ func (r *Runner) RunMuxCustom(events []pmu.Event, timeslice uint64, policy pmu.M
 	t := report.New(
 		fmt.Sprintf("Multiplexed counting: %s (policy %s)", pmu.EventListString(events), policy),
 		"workload", "machine", "event", "exact", "scaled", "rel err", "running/enabled", "rotations")
-	for i, meas := range out {
-		si, mi := splitIdx(i, len(machines))
+	for _, meas := range out {
 		for _, c := range meas.Counts {
 			exact, scaled, relErr, running := c.TableCells()
-			t.AddRow(specs[si].Name, machines[mi].Name, c.Event.String(),
+			t.AddRow(meas.Workload, meas.Machine, c.Event.String(),
 				exact, scaled, relErr, running, fmt.Sprintf("%d", meas.Rotations))
 		}
 	}

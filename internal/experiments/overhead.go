@@ -6,7 +6,6 @@ import (
 	"pmutrust/internal/analysis"
 	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
-	"pmutrust/internal/profile"
 	"pmutrust/internal/report"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/workloads"
@@ -65,14 +64,9 @@ func (r *Runner) RunOverhead() (*report.Table, map[string][]OverheadPoint, error
 		if err != nil {
 			return err
 		}
-		var bp *profile.BlockProfile
-		if run.Method.UseLBRStack {
-			bp, _, err = lbr.BuildProfile(p, run)
-			if err != nil {
-				return err
-			}
-		} else {
-			bp = profile.FromSamples(p, run)
+		bp, _, err := lbr.Profile(p, run)
+		if err != nil {
+			return err
 		}
 		e, err := analysis.AccuracyError(bp, reference)
 		if err != nil {

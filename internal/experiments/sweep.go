@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"pmutrust/internal/machine"
@@ -78,34 +77,17 @@ type SweepOptions struct {
 }
 
 // Sweep measures every grid cell on a bounded worker pool and returns
-// the measurements in Cells order. Because each cell's seeds derive from
-// its identity and the Runner caches are single-flight, the result is
-// bit-identical for any worker count. Cells whose measurement fails keep
-// their partial Measurement in the slice; the first failure (in cell
-// order) is returned as the error.
+// the measurements in Cells order: the cell path with no store. Because
+// each cell's seeds derive from its identity and the Runner caches are
+// single-flight, the result is bit-identical for any worker count. Cells
+// whose measurement fails keep their partial Measurement in the slice;
+// the first failure (in cell order) is returned as the error. On timeout
+// an abandoned cell is a named no-result entry (Failed, Err -1),
+// distinguishable from a genuinely unsupported cell, which has Failed
+// false.
 func (r *Runner) Sweep(g Grid, opt SweepOptions) ([]Measurement, error) {
-	cells := g.Cells()
-	out := make([]Measurement, len(cells))
-	// Prefill cell identities so that on timeout an abandoned cell is a
-	// named no-result entry (Failed, Err -1) rather than an anonymous
-	// zero value — and distinguishable from a genuinely unsupported cell,
-	// which has Failed false.
-	for i, c := range cells {
-		out[i] = Measurement{Workload: c.Workload.Name, Machine: c.Machine.Name, Method: c.Method.Key, Err: -1, Failed: true}
-	}
-	var measured atomic.Int64
-	err := r.forEach(len(cells), opt, func(i int) error {
-		c := cells[i]
-		measured.Add(1)
-		meas, err := r.Measure(c.Workload, c.Machine, c.Method)
-		out[i] = meas
-		if err != nil {
-			return fmt.Errorf("%s/%s/%s: %w", c.Workload.Name, c.Machine.Name, c.Method.Key, err)
-		}
-		return nil
-	})
-	r.Telemetry.CountCells(uint64(measured.Load()), 0)
-	return out, err
+	ms, _, err := runCells[Measurement](r, nil, opt, g.Cells())
+	return ms, err
 }
 
 // opts returns the Runner's default sweep options; the internal table

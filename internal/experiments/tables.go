@@ -6,7 +6,6 @@ import (
 	"pmutrust/internal/analysis"
 	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
-	"pmutrust/internal/profile"
 	"pmutrust/internal/report"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/stats"
@@ -47,7 +46,8 @@ func (tr *TableResult) Get(workload, mach, method string) float64 {
 // is identical at any worker count and whether cells were measured or
 // served from the store.
 func (r *Runner) runMatrix(title string, specs []workloads.Spec, machines []machine.Machine, methods []sampling.Method) (*TableResult, error) {
-	ms, err := r.sweep(Grid{Workloads: specs, Machines: machines, Methods: methods})
+	g := Grid{Workloads: specs, Machines: machines, Methods: methods}
+	ms, _, err := runCells[Measurement](r, r.Store, r.opts(), g.Cells())
 	if err != nil {
 		return nil, err
 	}
@@ -253,8 +253,7 @@ func (r *Runner) RunRanking() (*RankingResult, error) {
 
 	for _, mach := range machine.All() {
 		for _, m := range sampling.Registry() {
-			resolved, ok := sampling.Resolve(m, mach)
-			if !ok {
+			if _, ok := sampling.Resolve(m, mach); !ok {
 				continue
 			}
 			run, err := sampling.Collect(p, mach, m, sampling.Options{
@@ -266,14 +265,9 @@ func (r *Runner) RunRanking() (*RankingResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			var bp *profile.BlockProfile
-			if resolved.UseLBRStack {
-				bp, _, err = lbr.BuildProfile(p, run)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				bp = profile.FromSamples(p, run)
+			bp, _, err := lbr.Profile(p, run)
+			if err != nil {
+				return nil, err
 			}
 			ra := analysis.CompareRankings(bp.ToFunctions().Ranking(), refRank, 10)
 			exact := "no"

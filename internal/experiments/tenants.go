@@ -14,20 +14,13 @@ package experiments
 // anchor.
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
-	"pmutrust/internal/analysis"
-	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
-	"pmutrust/internal/profile"
-	"pmutrust/internal/program"
 	"pmutrust/internal/report"
 	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/sched"
-	"pmutrust/internal/stats"
 	"pmutrust/internal/workloads"
 )
 
@@ -76,167 +69,57 @@ func tenantCellKey(n int, timeslice uint64, method string) (uint64, string) {
 	return timeslice, TenantKey(n, timeslice, method)
 }
 
-// tenantIdentity is the results-store identity of a scheduling cell: the
-// standard cell identity with the synthetic tenant key on the method
-// axis.
-func (r *Runner) tenantIdentity(spec workloads.Spec, mach machine.Machine, key string) results.Identity {
-	return results.Identity{
-		Workload:      spec.Name,
-		Machine:       mach.Name,
-		Method:        key,
-		Scale:         r.Scale.Name,
-		WorkloadScale: r.Scale.Workload,
-		PeriodBase:    r.Scale.PeriodBase,
-		Seed:          r.Seed,
-		Repeats:       r.Scale.Repeats,
-	}
-}
-
-// measureTenantsOnce runs one scheduled collection — n tenants all
-// executing the workload (homogeneous tenancy, the self-interference
-// worst case) — and returns the measured tenant's accuracy error, sample
-// count and noise stats. The seed is the plain cell repeat seed: with
-// n = 1 the scheduler delegates to sampling.Collect and the result is
-// bit-identical to MeasureOnce's.
-func (r *Runner) measureTenantsOnce(spec workloads.Spec, mach machine.Machine, m sampling.Method,
-	n int, timeslice, switchCost uint64, seed uint64) (float64, int, *sampling.SchedStats, error) {
-
-	p := r.Workload(spec)
-	reference, err := r.Reference(spec)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	progs := make([]*program.Program, n)
-	for i := range progs {
-		progs[i] = p
-	}
-	runs, err := sched.Collect(progs, mach, m, sched.Options{
-		Options: sampling.Options{
-			PeriodBase:            r.Scale.PeriodBase,
-			Seed:                  seed,
-			Engine:                r.Engine,
-			SchedTimesliceCycles:  timeslice,
-			SchedSwitchCostCycles: switchCost,
-			Telemetry:             r.Telemetry,
-		},
-	})
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	run := runs[0]
-	var bp *profile.BlockProfile
-	if run.Method.UseLBRStack {
-		bp, _, err = lbr.BuildProfile(p, run)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-	} else {
-		bp = profile.FromSamples(p, run)
-	}
-	e, err := analysis.AccuracyError(bp, reference)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return e, len(run.Samples), run.Sched, nil
-}
-
 // MeasureTenants measures one scheduling cell over the configured
-// repeats, mirroring Measure's aggregation conventions (derived repeat
-// seeds, -1 for unsupported/dead cells, joined per-repeat failures).
+// repeats through Measure's repeat loop (derived repeat seeds, -1 for
+// unsupported/dead cells, joined per-repeat failures). With n = 1 the
+// scheduler delegates to sampling.Collect, so the result equals
+// Measure's bit for bit.
 func (r *Runner) MeasureTenants(spec workloads.Spec, mach machine.Machine, m sampling.Method,
 	n int, timeslice, switchCost uint64) (TenantMeasurement, error) {
 
 	timeslice, key := tenantCellKey(n, timeslice, m.Key)
-	meas := TenantMeasurement{
-		Workload: spec.Name,
-		Machine:  mach.Name,
-		Method:   m.Key,
-		Key:      key,
-		Tenants:  n,
-	}
-	if _, ok := sampling.Resolve(m, mach); !ok {
-		meas.Err = -1
-		return meas, nil
-	}
-	meas.Supported = true
-	if r.Telemetry != nil {
-		start := time.Now()
-		defer func() { r.Telemetry.ObserveCellWall(time.Since(start)) }()
-	}
-	var errs []float64
-	var failures []error
-	for rep := 0; rep < r.Scale.Repeats; rep++ {
-		e, cnt, sst, err := r.measureTenantsOnce(spec, mach, m, n, timeslice, switchCost,
-			r.repeatSeed(spec, mach, m, rep))
-		if err != nil {
-			failures = append(failures, fmt.Errorf("repeat %d: %w", rep, err))
-			continue
-		}
-		if len(errs) == 0 {
-			meas.Samples = cnt
-			meas.Sched = sst
-		}
-		errs = append(errs, e)
-	}
-	meas.PerRepeat = errs
-	meas.Failed = len(failures) > 0
-	if len(errs) > 0 {
-		meas.Err = stats.Mean(errs)
-	} else {
-		meas.Err = -1
-	}
-	return meas, errors.Join(failures...)
+	meas, sst, err := r.measure(spec, mach, m, n, timeslice, switchCost)
+	return TenantMeasurement{
+		Workload: spec.Name, Machine: mach.Name, Method: m.Key, Key: key, Tenants: n,
+		Err: meas.Err, PerRepeat: meas.PerRepeat, Samples: meas.Samples, Sched: sst,
+		Supported: meas.Supported, Failed: meas.Failed,
+	}, err
 }
 
-// measureTenantCell is the store-aware wrapper around MeasureTenants:
-// cached cells are served from the Runner's store (summary only), new
-// ones are appended — the same incremental-sweep contract as
-// measureMuxCell. Like SweepCached, it counts every dispatched cell as
-// measured, a failed one included, in both StoreStats and the telemetry
-// sink; only successful measurements are stored, so a resume retries the
-// failed ones.
-func (r *Runner) measureTenantCell(spec workloads.Spec, mach machine.Machine, m sampling.Method,
-	n int, timeslice, switchCost uint64) (TenantMeasurement, error) {
+// tenantCell is one tenant grid cell on the cell path. Its identity
+// carries the tenant count and timeslice (TenantKey) but not the switch
+// cost, so only default-cost cells may be stored: tenantMatrix sends the
+// others through the path with no store.
+type tenantCell struct {
+	spec       workloads.Spec
+	mach       machine.Machine
+	method     sampling.Method
+	n          int
+	timeslice  uint64
+	switchCost uint64
+}
 
-	_, key := tenantCellKey(n, timeslice, m.Key)
-	if r.Store != nil {
-		if rec, ok := r.Store.Get(r.tenantIdentity(spec, mach, key).Key()); ok {
-			r.mu.Lock()
-			r.storeStats.Cached++
-			r.mu.Unlock()
-			r.Telemetry.CountCells(0, 1)
-			return TenantMeasurement{
-				Workload: rec.Workload, Machine: rec.Machine,
-				Method: m.Key, Key: rec.Method, Tenants: n,
-				Err: rec.Err, Samples: rec.Samples,
-				Supported: rec.Supported, Failed: rec.Failed,
-			}, nil
-		}
+func (c tenantCell) coords() (string, string, string) {
+	_, key := tenantCellKey(c.n, c.timeslice, c.method.Key)
+	return c.spec.Name, c.mach.Name, key
+}
+
+func (c tenantCell) measure(r *Runner) (TenantMeasurement, error) {
+	return r.MeasureTenants(c.spec, c.mach, c.method, c.n, c.timeslice, c.switchCost)
+}
+
+func (tenantCell) record(m TenantMeasurement) results.Record {
+	return results.Record{Err: m.Err, PerRepeat: m.PerRepeat, Samples: m.Samples,
+		Supported: m.Supported, Failed: m.Failed}
+}
+
+// served restores the summary a record keeps; Sched and PerRepeat stay
+// empty.
+func (c tenantCell) served(rec results.Record) TenantMeasurement {
+	return TenantMeasurement{
+		Workload: rec.Workload, Machine: rec.Machine, Method: c.method.Key, Key: rec.Method, Tenants: c.n,
+		Err: rec.Err, Samples: rec.Samples, Supported: rec.Supported, Failed: rec.Failed,
 	}
-	meas, err := r.MeasureTenants(spec, mach, m, n, timeslice, switchCost)
-	r.mu.Lock()
-	r.storeStats.Measured++
-	r.mu.Unlock()
-	r.Telemetry.CountCells(1, 0)
-	if err != nil {
-		return meas, err
-	}
-	if r.Store != nil {
-		id := r.tenantIdentity(spec, mach, key)
-		rec := results.Record{
-			Key:       id.Key(),
-			Identity:  id,
-			Err:       meas.Err,
-			PerRepeat: meas.PerRepeat,
-			Samples:   meas.Samples,
-			Supported: meas.Supported,
-			Failed:    meas.Failed,
-		}
-		if perr := r.Store.Put(rec); perr != nil {
-			return meas, perr
-		}
-	}
-	return meas, nil
 }
 
 // tenantWorkloads returns the workload rows of the scheduling tables: one
@@ -283,26 +166,21 @@ type tenantColumn struct {
 // one column per scheduling regime. The cell text is the measured
 // tenant's accuracy error.
 func (r *Runner) tenantMatrix(title string, cols []tenantColumn, switchCost uint64) (*report.Table, []TenantMeasurement, error) {
-	specs := tenantWorkloads()
-	machines := machine.All()
-	methods := tenantMethods()
-	perRow := len(cols)
-	rows := len(specs) * len(machines) * len(methods)
-	out := make([]TenantMeasurement, rows*perRow)
-
-	err := r.forEach(len(out), r.opts(), func(i int) error {
-		row, ci := splitIdx(i, perRow)
-		rest, di := splitIdx(row, len(methods))
-		si, mi := splitIdx(rest, len(machines))
-		col := cols[ci]
-		meas, err := r.measureTenantCell(specs[si], machines[mi], methods[di],
-			col.Tenants, col.Timeslice, switchCost)
-		out[i] = meas
-		if err != nil {
-			return fmt.Errorf("%s/%s/%s: %w", specs[si].Name, machines[mi].Name, meas.Key, err)
+	var cells []tenantCell
+	for _, spec := range tenantWorkloads() {
+		for _, mach := range machine.All() {
+			for _, m := range tenantMethods() {
+				for _, col := range cols {
+					cells = append(cells, tenantCell{spec, mach, m, col.Tenants, col.Timeslice, switchCost})
+				}
+			}
 		}
-		return nil
-	})
+	}
+	st := r.Store
+	if switchCost != 0 {
+		st = nil // not in the identity: a stored cell would be stale
+	}
+	out, _, err := runCells[TenantMeasurement](r, st, r.opts(), cells)
 	if err != nil {
 		return nil, out, err
 	}
@@ -312,17 +190,12 @@ func (r *Runner) tenantMatrix(title string, cols []tenantColumn, switchCost uint
 		headers = append(headers, c.Label)
 	}
 	t := report.New(title, headers...)
-	for si, spec := range specs {
-		for mi, mach := range machines {
-			for di, m := range methods {
-				row := []string{spec.Name, mach.Name, m.Key}
-				base := flatIdx(flatIdx(flatIdx(si, mi, len(machines)), di, len(methods)), 0, perRow)
-				for ci := range cols {
-					row = append(row, report.Fmt(out[base+ci].Err))
-				}
-				t.AddRow(row...)
-			}
+	for i := 0; i < len(out); i += len(cols) {
+		row := []string{out[i].Workload, out[i].Machine, out[i].Method}
+		for _, m := range out[i : i+len(cols)] {
+			row = append(row, report.Fmt(m.Err))
 		}
+		t.AddRow(row...)
 	}
 	return t, out, nil
 }

@@ -9,7 +9,6 @@ import (
 	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/telemetry"
-	"pmutrust/internal/workloads"
 )
 
 // TestTenantsTable: the headline acceptance properties of the scheduling
@@ -211,35 +210,5 @@ func TestTenantKeySelfSorting(t *testing.T) {
 	}
 	if TenantKey(4, 16000, "classic") != "tn-n04-ts16000-classic" {
 		t.Errorf("key format drifted: %s", TenantKey(4, 16000, "classic"))
-	}
-}
-
-// TestTenantsFailedCellCounted pins how a failed tenant cell is counted:
-// like SweepCached, StoreStats and the telemetry sink both count it as
-// measured, and it is not stored, so a second attempt measures it again.
-func TestTenantsFailedCellCounted(t *testing.T) {
-	st, err := results.Create(t.TempDir() + "/tenants.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	s := SmallScale()
-	s.PeriodBase = 0 // sampling rejects every repeat
-	r := NewRunner(s, 42)
-	r.Store = st
-	r.Telemetry = &telemetry.Sink{}
-	spec, _ := workloads.ByName("LatencyBiased")
-	m, _ := sampling.MethodByKey("classic")
-	for attempt := 1; attempt <= 2; attempt++ {
-		if _, err := r.measureTenantCell(spec, machine.IvyBridge(), m, 2, 0, 0); err == nil {
-			t.Fatal("expected error from zero period base")
-		}
-		stats := r.StoreStats()
-		snap := r.Telemetry.Snapshot("")
-		if stats.Measured != attempt || stats.Cached != 0 ||
-			snap.Sweep.CellsMeasured != uint64(attempt) || snap.Sweep.CellsStored != 0 {
-			t.Fatalf("attempt %d: store stats %+v, telemetry measured %d stored %d",
-				attempt, stats, snap.Sweep.CellsMeasured, snap.Sweep.CellsStored)
-		}
 	}
 }

@@ -66,6 +66,17 @@ func BuildProfile(prog *program.Program, run *sampling.Run) (*profile.BlockProfi
 	return bp, ds, nil
 }
 
+// Profile estimates run's basic-block profile the way a tool using its
+// method would: LBR-stack decoding for a method that captures LBR stacks,
+// plain sample attribution (with the method's optional IP+1 fix)
+// otherwise. The DecodeStats are zero for sampled methods.
+func Profile(prog *program.Program, run *sampling.Run) (*profile.BlockProfile, DecodeStats, error) {
+	if run.Method.UseLBRStack {
+		return BuildProfile(prog, run)
+	}
+	return profile.FromSamples(prog, run), DecodeStats{}, nil
+}
+
 // walkStack visits every basic block executed within the stack's
 // straight-line segments, invoking visit once per block execution.
 //

@@ -55,7 +55,8 @@ func NewBlockProfile(p *program.Program) *BlockProfile {
 // deficiency §6.2 attributes to IBS.
 //
 // Note: this is the plain-EBS path. For methods that consume full LBR
-// stacks use internal/lbr.BuildProfile instead.
+// stacks use internal/lbr.BuildProfile instead; internal/lbr.Profile
+// picks the right one for a run's method.
 func FromSamples(prog *program.Program, run *sampling.Run) *BlockProfile {
 	bp := NewBlockProfile(prog)
 	codeLen := uint32(len(prog.Code))

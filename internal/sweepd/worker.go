@@ -54,7 +54,8 @@ type WorkerStats struct {
 	// done-marked; ShardsTaken counts every lease it won (including
 	// shards later abandoned to a supersession).
 	ShardsCompleted, ShardsTaken int
-	// Measured counts cells this worker measured and appended; Served
+	// Measured counts cells this worker dispatched, whatever the
+	// outcome (a failed cell is measured but not appended); Served
 	// counts cells of its shards that merge-on-read found already
 	// complete (a predecessor measured them before dying).
 	Measured, Served int
@@ -296,22 +297,15 @@ func (w *Worker) runShard(p *Plan, r *experiments.Runner, shard int, lease *Leas
 	}
 	defer st.Close()
 
-	// Resolve refs and split into already-present and missing cells —
-	// the merge-on-read that makes a predecessor's completed cells
-	// final.
-	var missing []experiments.Cell
-	var served uint64
-	for _, ref := range p.Shards[shard] {
-		c, err := ref.Resolve()
-		if err != nil {
+	// Resolve refs and serve the cells already present — the
+	// merge-on-read that makes a predecessor's completed cells final.
+	cells := make([]experiments.Cell, len(p.Shards[shard]))
+	for i, ref := range p.Shards[shard] {
+		if cells[i], err = ref.Resolve(); err != nil {
 			return err
 		}
-		if _, ok := st.Get(r.CellIdentity(c).Key()); ok {
-			served++
-			continue
-		}
-		missing = append(missing, c)
 	}
+	missing := r.ServeCells(cells, st)
 
 	// Heartbeat at TTL/3 until the shard is finished; a failed or
 	// superseded heartbeat flips the stop flag the measure loop checks
@@ -350,26 +344,18 @@ func (w *Worker) runShard(p *Plan, r *experiments.Runner, shard int, lease *Leas
 		<-hbDone
 	}
 
-	var measured atomic.Int64
 	err = pool.ForEach(len(missing), w.Parallel, 0, func(i int) error {
 		if superseded.Load() {
 			return nil // abandoned: the new owner measures the rest
 		}
-		c := missing[i]
-		meas, err := r.Measure(c.Workload, c.Machine, c.Method)
-		if err != nil {
+		if _, err := r.MeasureCell(cells[missing[i]], st); err != nil {
 			// Not stored: the cell stays missing and a later owner or
 			// render pass retries it.
-			return fmt.Errorf("%s/%s/%s: %w", c.Workload.Name, c.Machine.Name, c.Method.Key, err)
-		}
-		measured.Add(1)
-		if perr := st.Put(r.CellRecord(c, meas)); perr != nil {
-			return fmt.Errorf("%s/%s/%s: %w", c.Workload.Name, c.Machine.Name, c.Method.Key, perr)
+			return err
 		}
 		w.faultStep(st)
 		return nil
 	})
-	w.sink.CountCells(uint64(measured.Load()), served)
 	stopHeartbeat()
 	if superseded.Load() {
 		return fmt.Errorf("shard %d gen %d: %w", shard, lease.Gen, ErrSuperseded)

@@ -122,11 +122,7 @@ func TestWorkerServesPredecessorCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.Measure(c.Workload, c.Machine, c.Method)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pre.Put(r.CellRecord(c, m)); err != nil {
+		if _, err := r.MeasureCell(c, pre); err != nil {
 			t.Fatal(err)
 		}
 	}

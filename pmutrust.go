@@ -380,14 +380,9 @@ func Profile(prog *Program, mach Machine, m Method, opt Options) (*BlockProfile,
 	if err != nil {
 		return nil, nil, err
 	}
-	var bp *BlockProfile
-	if run.Method.UseLBRStack {
-		bp, _, err = lbr.BuildProfile(prog, run)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		bp = profile.FromSamples(prog, run)
+	bp, _, err := lbr.Profile(prog, run)
+	if err != nil {
+		return nil, nil, err
 	}
 	return bp, run, nil
 }
