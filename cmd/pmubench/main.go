@@ -395,18 +395,9 @@ func main() {
 		// The plan fingerprint is the sweep's run ID: the whole fleet logs
 		// and persists telemetry under it.
 		runID = coord.Plan.Fingerprint
-		// /metrics serves the fleet view: every worker snapshot persisted
-		// under the sweep dir, merged with this process's own counters.
+		// /metrics serves the fleet view.
 		obsServe(func() telemetry.Snapshot {
-			fleet, _, err := telemetry.LoadDir(telemetry.Dir(*sweepDir))
-			if err != nil {
-				logger.Warn("telemetry merge failed", "err", err)
-			}
-			snap := fleet.Merge(sink.Snapshot(runID))
-			if snap.RunID == "" {
-				snap.RunID = runID
-			}
-			return snap
+			return fleetSnapshot(*sweepDir, sink, runID, logger)
 		}, func() (any, bool) {
 			p, ok := coord.LastProgress()
 			return p, ok
@@ -745,15 +736,7 @@ func main() {
 func writeTelemetry(path, sweepDir string, serve bool, sink *telemetry.Sink, runID string, logger *slog.Logger) error {
 	snap := sink.Snapshot(runID)
 	if serve {
-		fleet, _, err := telemetry.LoadDir(telemetry.Dir(sweepDir))
-		if err != nil {
-			logger.Warn("telemetry merge failed", "err", err)
-		} else {
-			snap = fleet.Merge(snap)
-			if snap.RunID == "" {
-				snap.RunID = runID
-			}
-		}
+		snap = fleetSnapshot(sweepDir, sink, runID, logger)
 	}
 	out, err := snap.MarshalCanonical()
 	if err != nil {
@@ -764,6 +747,23 @@ func writeTelemetry(path, sweepDir string, serve bool, sink *telemetry.Sink, run
 		return err
 	}
 	return os.WriteFile(path, out, 0o644)
+}
+
+// fleetSnapshot is the fleet view of a -serve sweep: every worker
+// snapshot persisted under sweepDir, merged with this process's own
+// counters, under runID. A fleet that fails to load is logged and
+// contributes nothing: LoadDir then returns the zero snapshot, which
+// merges as the identity.
+func fleetSnapshot(sweepDir string, sink *telemetry.Sink, runID string, logger *slog.Logger) telemetry.Snapshot {
+	fleet, _, err := telemetry.LoadDir(telemetry.Dir(sweepDir))
+	if err != nil {
+		logger.Warn("telemetry merge failed", "err", err)
+	}
+	snap := fleet.Merge(sink.Snapshot(runID))
+	if snap.RunID == "" {
+		snap.RunID = runID
+	}
+	return snap
 }
 
 // parseTenantCounts parses the -tenants flag: a comma-separated list of

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"pmutrust/internal/analysis"
-	"pmutrust/internal/cpu"
-	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
 	"pmutrust/internal/pmu"
-	"pmutrust/internal/profile"
+	"pmutrust/internal/program"
 	"pmutrust/internal/report"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/stats"
@@ -25,55 +22,17 @@ type SweepPoint struct {
 	Err float64
 }
 
-// measureWith runs one custom-configured measurement: workload on machine
-// with an explicitly built PMU config, bypassing the method registry. The
-// profile is built as plain EBS unless useLBR is set.
-func (r *Runner) measureWith(spec workloads.Spec, mach machine.Machine, cfg pmu.Config, m sampling.Method, useLBR bool) (float64, error) {
-	p := r.Workload(spec)
-	reference, err := r.Reference(spec)
-	if err != nil {
-		return 0, err
-	}
-	unit := pmu.New(cfg)
-	eng := cpu.EngineFast
-	if r.Engine == sampling.EngineInterp {
-		eng = cpu.EngineInterp
-	}
-	cpuRes, runFailure := cpu.RunEngine(p, mach.CPU, unit, 0, eng)
-	if r.Engine == sampling.EngineBoth {
-		// Self-check against the interpreter through the same comparison
-		// protocol Collect uses for the registry paths (error parity,
-		// then every observable including the cpu.Result and the partial
-		// streams of identically failing runs).
-		ref := pmu.New(cfg)
-		refRes, refErr := cpu.Run(p, mach.CPU, ref, 0)
-		a := &sampling.Run{Machine: mach, Method: m, Period: cfg.Period, CPU: refRes,
-			Samples: ref.Samples(), Overflows: ref.Overflows, DroppedPMIs: ref.DroppedPMIs}
-		b := &sampling.Run{Machine: mach, Method: m, Period: cfg.Period, CPU: cpuRes,
-			Samples: unit.Samples(), Overflows: unit.Overflows, DroppedPMIs: unit.DroppedPMIs}
-		if err := sampling.DiffOutcome(a, refErr, b, runFailure); err != nil {
-			return 0, fmt.Errorf("engine divergence on %s/%s (custom config): %w", spec.Name, mach.Name, err)
-		}
-	}
-	if runFailure != nil {
-		return 0, runFailure
-	}
-	run := &sampling.Run{
-		Machine: mach,
-		Method:  m,
-		Period:  cfg.Period,
-		Samples: unit.Samples(),
-	}
-	var bp *profile.BlockProfile
-	if useLBR {
-		bp, _, err = lbr.BuildProfile(p, run)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		bp = profile.FromSamples(p, run)
-	}
-	return analysis.AccuracyError(bp, reference)
+// measureWith scores one custom-configured measurement: workload on
+// machine with an explicitly built PMU config, bypassing the method
+// registry. cfg is collected as a lowered cell whose method is m, so m
+// also decides how the profile is estimated (LBR-stack decoding when
+// m.UseLBRStack is set).
+func (r *Runner) measureWith(spec workloads.Spec, mach machine.Machine, cfg pmu.Config, m sampling.Method) (float64, error) {
+	cell := sampling.Cell{Requested: m, Resolved: m, Period: cfg.Period, PMU: cfg}
+	e, _, _, err := r.score(spec, func(p *program.Program) (*sampling.Run, error) {
+		return sampling.CollectCell(p, mach, cell, r.collectOptions(r.Seed))
+	})
+	return e, err
 }
 
 // AblateSkid (A1) sweeps the PMI delivery latency for classic sampling on
@@ -102,7 +61,7 @@ func (r *Runner) AblateSkid() (*report.Table, []SweepPoint, error) {
 			SkidCycles: skids[i],
 			Seed:       r.Seed,
 		}
-		e, err := r.measureWith(spec, mach, cfg, classic, false)
+		e, err := r.measureWith(spec, mach, cfg, classic)
 		series[i] = SweepPoint{X: float64(skids[i]), Err: e}
 		return err
 	})
@@ -148,7 +107,7 @@ func (r *Runner) AblatePeriod() (*report.Table, map[string][]SweepPoint, error) 
 			Rand:      pmu.RandNone,
 			Seed:      r.Seed,
 		}
-		e, err := r.measureWith(spec, mach, cfg, precise, false)
+		e, err := r.measureWith(spec, mach, cfg, precise)
 		errs[i] = e
 		return err
 	})
@@ -193,7 +152,7 @@ func (r *Runner) AblateLBRDepth() (*report.Table, []SweepPoint, error) {
 			LBRDepth:   depths[i],
 			Seed:       r.Seed,
 		}
-		e, err := r.measureWith(spec, mach, cfg, lbrM, true)
+		e, err := r.measureWith(spec, mach, cfg, lbrM)
 		series[i] = SweepPoint{X: float64(depths[i]), Err: e}
 		return err
 	})
@@ -239,7 +198,7 @@ func (r *Runner) AblateBurst() (*report.Table, map[string][]SweepPoint, error) {
 			Rand:      pmu.RandSoftware,
 			Seed:      r.Seed,
 		}
-		e, err := r.measureWith(spec, mach, cfg, m, false)
+		e, err := r.measureWith(spec, mach, cfg, m)
 		errs[i] = e
 		return err
 	})
@@ -291,7 +250,7 @@ func (r *Runner) AblateRandAmp() (*report.Table, []SweepPoint, error) {
 			RandAmp:   amp,
 			Seed:      r.Seed,
 		}
-		e, err := r.measureWith(spec, mach, cfg, m, false)
+		e, err := r.measureWith(spec, mach, cfg, m)
 		series[i] = SweepPoint{X: frac, Err: e}
 		return err
 	})

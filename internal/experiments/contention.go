@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"pmutrust/internal/analysis"
-	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
+	"pmutrust/internal/program"
 	"pmutrust/internal/report"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/workloads"
@@ -21,11 +20,6 @@ func (r *Runner) RunLBRContention() (*report.Table, []SweepPoint, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p := r.Workload(spec)
-	reference, err := r.Reference(spec)
-	if err != nil {
-		return nil, nil, err
-	}
 	mach := machine.IvyBridge()
 	m, err := sampling.MethodByKey("lbr")
 	if err != nil {
@@ -38,27 +32,14 @@ func (r *Runner) RunLBRContention() (*report.Table, []SweepPoint, error) {
 	series := make([]SweepPoint, len(contentions))
 	malformed := make([]int, len(contentions))
 	err = r.forEach(len(contentions), r.opts(), func(i int) error {
-		run, err := sampling.Collect(p, mach, m, sampling.Options{
-			PeriodBase:    r.Scale.PeriodBase,
-			Seed:          r.Seed,
-			LBRContention: contentions[i],
-			Engine:        r.Engine,
-			Telemetry:     r.Telemetry,
+		e, _, ds, err := r.score(spec, func(p *program.Program) (*sampling.Run, error) {
+			opt := r.collectOptions(r.Seed)
+			opt.LBRContention = contentions[i]
+			return sampling.Collect(p, mach, m, opt)
 		})
-		if err != nil {
-			return err
-		}
-		bp, ds, err := lbr.BuildProfile(p, run)
-		if err != nil {
-			return err
-		}
-		e, err := analysis.AccuracyError(bp, reference)
-		if err != nil {
-			return err
-		}
 		series[i] = SweepPoint{X: contentions[i], Err: e}
 		malformed[i] = ds.Malformed
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, nil, err

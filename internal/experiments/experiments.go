@@ -11,6 +11,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -136,8 +137,9 @@ type Runner struct {
 	// the reserved results.RefMethod key and never mix with measurements.
 	RefStore results.Store
 	// Telemetry, when non-nil, receives engine counters from every
-	// measurement, the ref served-vs-collected split, and from the cell
-	// path the cells' stored/measured counts and one wall-time
+	// measurement (every collection starts from collectOptions, which
+	// carries the sink), the ref served-vs-collected split, and from the
+	// cell path the cells' stored/measured counts and one wall-time
 	// observation per measured supported cell. A Measure call outside
 	// any grid is not a cell and is not counted or observed. Nil disables
 	// instrumentation at no cost.
@@ -249,46 +251,63 @@ func (r *Runner) MeasureOnce(spec workloads.Spec, mach machine.Machine, m sampli
 	return e, len(run.Samples), nil
 }
 
-// measureOnce is the one collect → estimate → score body: n tenants all
-// run the workload (homogeneous tenancy, the self-interference worst
-// case) under sched.Collect, which hands n = 1 to sampling.Collect
-// unchanged, and the measured tenant's (tenant 0's) profile estimate is
-// scored against the exact reference. It returns the error and the
-// measured tenant's run.
-func (r *Runner) measureOnce(spec workloads.Spec, mach machine.Machine, m sampling.Method,
-	n int, timeslice, switchCost, seed uint64) (float64, *sampling.Run, error) {
+// collectOptions returns the sampling options of one collection at this
+// runner's scale and engine, reporting to its telemetry sink. Every
+// collection an experiment makes starts from these options, so none can
+// drop the engine mode or the sink.
+func (r *Runner) collectOptions(seed uint64) sampling.Options {
+	return sampling.Options{
+		PeriodBase: r.Scale.PeriodBase,
+		Seed:       seed,
+		Engine:     r.Engine,
+		Telemetry:  r.Telemetry,
+	}
+}
 
+// score is the one collect → estimate → score body: collect samples the
+// built workload, lbr.Profile estimates its block profile the way the
+// run's method would, and the estimate is scored against the exact
+// reference. It returns the accuracy error with the run and the LBR
+// decode stats (zero for sampled methods).
+func (r *Runner) score(spec workloads.Spec, collect func(*program.Program) (*sampling.Run, error)) (float64, *sampling.Run, lbr.DecodeStats, error) {
 	p := r.Workload(spec)
 	reference, err := r.Reference(spec)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, lbr.DecodeStats{}, err
 	}
-	progs := make([]*program.Program, n)
-	for i := range progs {
-		progs[i] = p
-	}
-	runs, err := sched.Collect(progs, mach, m, sched.Options{
-		Options: sampling.Options{
-			PeriodBase:            r.Scale.PeriodBase,
-			Seed:                  seed,
-			Engine:                r.Engine,
-			SchedTimesliceCycles:  timeslice,
-			SchedSwitchCostCycles: switchCost,
-			Telemetry:             r.Telemetry,
-		},
-	})
+	run, err := collect(p)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, lbr.DecodeStats{}, err
 	}
-	bp, _, err := lbr.Profile(p, runs[0])
+	bp, ds, err := lbr.Profile(p, run)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, ds, err
 	}
 	e, err := analysis.AccuracyError(bp, reference)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, ds, err
 	}
-	return e, runs[0], nil
+	return e, run, ds, nil
+}
+
+// measureOnce scores one repeat of a grid cell: n tenants all run the
+// workload (homogeneous tenancy, the self-interference worst case) under
+// sched.Collect, which hands n = 1 to sampling.Collect unchanged, and the
+// measured tenant's (tenant 0's) run is scored. It returns the error and
+// that run.
+func (r *Runner) measureOnce(spec workloads.Spec, mach machine.Machine, m sampling.Method,
+	n int, timeslice, switchCost, seed uint64) (float64, *sampling.Run, error) {
+
+	e, run, _, err := r.score(spec, func(p *program.Program) (*sampling.Run, error) {
+		opt := r.collectOptions(seed)
+		opt.SchedTimesliceCycles, opt.SchedSwitchCostCycles = timeslice, switchCost
+		runs, err := sched.Collect(slices.Repeat([]*program.Program{p}, n), mach, m, sched.Options{Options: opt})
+		if err != nil {
+			return nil, err
+		}
+		return runs[0], nil
+	})
+	return e, run, err
 }
 
 // Measure runs the configured number of repeats and averages. Each

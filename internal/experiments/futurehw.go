@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"pmutrust/internal/analysis"
 	"pmutrust/internal/machine"
-	"pmutrust/internal/profile"
+	"pmutrust/internal/program"
 	"pmutrust/internal/report"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/workloads"
@@ -43,23 +42,12 @@ func (r *Runner) RunFutureHW() (*FutureHWResult, error) {
 	}
 
 	measure := func(spec workloads.Spec, mach machine.Machine, contention float64) (float64, error) {
-		p := r.Workload(spec)
-		reference, err := r.Reference(spec)
-		if err != nil {
-			return 0, err
-		}
-		run, err := sampling.Collect(p, mach, m, sampling.Options{
-			PeriodBase:    r.Scale.PeriodBase,
-			Seed:          r.Seed,
-			LBRContention: contention,
-			Engine:        r.Engine,
-			Telemetry:     r.Telemetry,
+		e, _, _, err := r.score(spec, func(p *program.Program) (*sampling.Run, error) {
+			opt := r.collectOptions(r.Seed)
+			opt.LBRContention = contention
+			return sampling.Collect(p, mach, m, opt)
 		})
-		if err != nil {
-			return 0, err
-		}
-		bp := profile.FromSamples(p, run)
-		return analysis.AccuracyError(bp, reference)
+		return e, err
 	}
 
 	kernels := workloads.Kernels()

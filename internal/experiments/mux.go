@@ -108,16 +108,9 @@ func (r *Runner) MeasureMux(spec workloads.Spec, mach machine.Machine, events []
 	if err != nil {
 		return meas, err
 	}
-	p := r.Workload(spec)
-	run, err := sampling.Collect(p, mach, classic, sampling.Options{
-		PeriodBase:         r.Scale.PeriodBase,
-		Seed:               stats.DeriveSeed(r.Seed, spec.Name, mach.Name, key, "0"),
-		Engine:             r.Engine,
-		Events:             events,
-		MuxTimesliceCycles: timeslice,
-		MuxPolicy:          policy,
-		Telemetry:          r.Telemetry,
-	})
+	opt := r.collectOptions(stats.DeriveSeed(r.Seed, spec.Name, mach.Name, key, "0"))
+	opt.Events, opt.MuxTimesliceCycles, opt.MuxPolicy = events, timeslice, policy
+	run, err := sampling.Collect(r.Workload(spec), mach, classic, opt)
 	if err != nil {
 		return meas, err
 	}

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"pmutrust/internal/analysis"
-	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
+	"pmutrust/internal/program"
 	"pmutrust/internal/report"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/workloads"
@@ -25,11 +24,6 @@ type OverheadPoint struct {
 // — as a measurable error-vs-cost frontier.
 func (r *Runner) RunOverhead() (*report.Table, map[string][]OverheadPoint, error) {
 	spec, err := workloads.ByName("omnetpp")
-	if err != nil {
-		return nil, nil, err
-	}
-	p := r.Workload(spec)
-	reference, err := r.Reference(spec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -55,20 +49,11 @@ func (r *Runner) RunOverhead() (*report.Table, map[string][]OverheadPoint, error
 		if err != nil {
 			return err
 		}
-		run, err := sampling.Collect(p, mach, m, sampling.Options{
-			PeriodBase: base,
-			Seed:       r.Seed,
-			Engine:     r.Engine,
-			Telemetry:  r.Telemetry,
+		e, run, _, err := r.score(spec, func(p *program.Program) (*sampling.Run, error) {
+			opt := r.collectOptions(r.Seed)
+			opt.PeriodBase = base
+			return sampling.Collect(p, mach, m, opt)
 		})
-		if err != nil {
-			return err
-		}
-		bp, _, err := lbr.Profile(p, run)
-		if err != nil {
-			return err
-		}
-		e, err := analysis.AccuracyError(bp, reference)
 		if err != nil {
 			return err
 		}

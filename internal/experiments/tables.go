@@ -256,12 +256,7 @@ func (r *Runner) RunRanking() (*RankingResult, error) {
 			if _, ok := sampling.Resolve(m, mach); !ok {
 				continue
 			}
-			run, err := sampling.Collect(p, mach, m, sampling.Options{
-				PeriodBase: r.Scale.PeriodBase,
-				Seed:       r.Seed,
-				Engine:     r.Engine,
-				Telemetry:  r.Telemetry,
-			})
+			run, err := sampling.Collect(p, mach, m, r.collectOptions(r.Seed))
 			if err != nil {
 				return nil, err
 			}

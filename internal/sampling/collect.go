@@ -227,9 +227,12 @@ func (e *ErrUnsupported) Error() string {
 // config and (when counting events are requested) the multiplexer config
 // with the machine's physical counter budget split around the pinned
 // sampling counter. It is exported so the multi-tenant scheduler
-// (internal/sched) applies exactly the same lowering rules per tenant
-// without duplicating them.
+// (internal/sched) runs each tenant through the same lowering rules and
+// run body, and so the experiments' ablations can hand-build a cell for
+// CollectCell.
 type Cell struct {
+	// Requested is the method as requested (registry form).
+	Requested Method
 	// Resolved is the method after lowering onto the machine.
 	Resolved Method
 	// Period is the effective programmed period in event units.
@@ -284,8 +287,9 @@ func PrepareCell(mach machine.Machine, m Method, opt Options) (Cell, error) {
 	}
 
 	cell := Cell{
-		Resolved: resolved,
-		Period:   period,
+		Requested: m,
+		Resolved:  resolved,
+		Period:    period,
 		PMU: pmu.Config{
 			Event:         resolved.Event,
 			Precision:     resolved.Precision,
@@ -316,83 +320,116 @@ func PrepareCell(mach machine.Machine, m Method, opt Options) (Cell, error) {
 
 // Collect runs p on mach while sampling with method m.
 func Collect(p *program.Program, mach machine.Machine, m Method, opt Options) (*Run, error) {
+	cell, err := PrepareCell(mach, m, opt)
+	if err != nil {
+		return nil, err
+	}
+	return CollectCell(p, mach, cell, opt)
+}
+
+// CollectCell is Collect for an already lowered cell — one built by
+// PrepareCell, or by hand to program the PMU outside the method registry
+// (the experiments' ablations). opt supplies the engine mode, the
+// instruction limit and the telemetry sink; the rest of it was lowered
+// into the cell.
+func CollectCell(p *program.Program, mach machine.Machine, cell Cell, opt Options) (*Run, error) {
 	if opt.Tenants > 1 {
 		// Multi-tenant collections need the scheduler layer above this
 		// package; keeping the rejection here means a stray Tenants value
 		// can never silently collect single-tenant.
 		return nil, fmt.Errorf("sampling: Options.Tenants = %d: multi-tenant collection goes through sched.Collect", opt.Tenants)
 	}
-	cell, err := PrepareCell(mach, m, opt)
+	run, err := RunEngines(opt.Engine, func(eng cpu.Engine) (*Run, error) {
+		return cell.Run(p, mach, opt, eng, nil)
+	}, func(ref *Run, refErr error, got *Run, gotErr error) error {
+		if err := DiffOutcome(ref, refErr, got, gotErr); err != nil {
+			return fmt.Errorf("engine divergence on %s/%s/%s: %w", p.Name, mach.Name, cell.Requested.Key, err)
+		}
+		return nil
+	})
 	if err != nil {
+		// The run body keeps a failed run for the self-check; Collect's
+		// contract is a nil Run on error.
 		return nil, err
 	}
-	resolved, period := cell.Resolved, cell.Period
+	return run, nil
+}
 
-	// runOnce always returns the Run, even when the cpu run errored — the
-	// partial sample stream (and partial multiplexed counts) is what
-	// EngineBoth diffs on identically failing runs. Collect's public
-	// contract (nil Run on error) is restored by the switch below.
-	runOnce := func(eng cpu.Engine) (*Run, error) {
-		unit := pmu.New(cell.PMU)
-		var mon cpu.Monitor = unit
-		var mux *pmu.Mux
-		if cell.UseMux {
-			mux = pmu.NewMux(cell.Mux, unit)
-			mon = mux
-		}
-		cpuRes, err := cpu.RunEngine(p, mach.CPU, mon, opt.MaxInstrs, eng)
-		run := &Run{
-			Machine:     mach,
-			Requested:   m,
-			Method:      resolved,
-			Period:      period,
-			Samples:     unit.Samples(),
-			CPU:         cpuRes,
-			Overflows:   unit.Overflows,
-			DroppedPMIs: unit.DroppedPMIs,
-		}
-		if mux != nil {
-			run.Counts = mux.Finish(cpuRes.Cycles)
-			run.MuxRotations = mux.Rotations
-		}
-		if sink := opt.Telemetry; sink != nil {
-			sink.AddEngine(unit.EngineCounters())
-			if eng == cpu.EngineInterp {
-				sink.CountRun(telemetry.VariantInterp)
-			} else {
-				sink.CountRun(cpu.FastVariant(mon))
-			}
-		}
-		if err != nil {
-			return run, fmt.Errorf("sampling: run %s on %s: %w", p.Name, mach.Name, err)
-		}
-		return run, nil
-	}
+// RunEngines runs one collection under an engine mode: run is called with
+// the fast engine, the interpreter, or both. Under EngineBoth the
+// interpreter's outcome is the reference — diff compares it with the fast
+// engine's, and a non-nil result fails the call — and the fast outcome is
+// returned. It is the one place an EngineMode chooses engines.
+func RunEngines[T any](mode EngineMode, run func(cpu.Engine) (T, error),
+	diff func(ref T, refErr error, got T, gotErr error) error) (T, error) {
 
-	switch opt.Engine {
+	switch mode {
 	case EngineInterp:
-		run, err := runOnce(cpu.EngineInterp)
-		if err != nil {
-			return nil, err
-		}
-		return run, nil
+		return run(cpu.EngineInterp)
 	case EngineBoth:
-		ir, ierr := runOnce(cpu.EngineInterp)
-		fr, ferr := runOnce(cpu.EngineFast)
-		if err := DiffOutcome(ir, ierr, fr, ferr); err != nil {
-			return nil, fmt.Errorf("engine divergence on %s/%s/%s: %w", p.Name, mach.Name, m.Key, err)
+		ref, refErr := run(cpu.EngineInterp)
+		got, gotErr := run(cpu.EngineFast)
+		if err := diff(ref, refErr, got, gotErr); err != nil {
+			var zero T
+			return zero, err
 		}
-		if ferr != nil {
-			return nil, ferr
-		}
-		return fr, nil
+		return got, gotErr
 	default:
-		run, err := runOnce(cpu.EngineFast)
-		if err != nil {
-			return nil, err
-		}
-		return run, nil
+		return run(cpu.EngineFast)
 	}
+}
+
+// Run is the one run body of every collection: it executes p on mach with
+// engine eng under the cell's monitor chain — the PMU, behind a Mux when
+// counting events were requested — wrapped in wrap's monitor when wrap
+// is non-nil (the scheduler's per-tenant task), and assembles the Run.
+// It is the only place a collection's engine counters and variant reach
+// opt.Telemetry. opt supplies the instruction limit and the sink.
+//
+// Run always returns the Run, even when the cpu run errored: the partial
+// sample stream (and partial multiplexed counts) is what EngineBoth
+// diffs on identically failing runs.
+func (c Cell) Run(p *program.Program, mach machine.Machine, opt Options, eng cpu.Engine,
+	wrap func(unit *pmu.PMU, mux *pmu.Mux, chain cpu.FastMonitor) cpu.Monitor) (*Run, error) {
+
+	unit := pmu.New(c.PMU)
+	var chain cpu.FastMonitor = unit
+	var mux *pmu.Mux
+	if c.UseMux {
+		mux = pmu.NewMux(c.Mux, unit)
+		chain = mux
+	}
+	var mon cpu.Monitor = chain
+	if wrap != nil {
+		mon = wrap(unit, mux, chain)
+	}
+	cpuRes, err := cpu.RunEngine(p, mach.CPU, mon, opt.MaxInstrs, eng)
+	run := &Run{
+		Machine:     mach,
+		Requested:   c.Requested,
+		Method:      c.Resolved,
+		Period:      c.Period,
+		Samples:     unit.Samples(),
+		CPU:         cpuRes,
+		Overflows:   unit.Overflows,
+		DroppedPMIs: unit.DroppedPMIs,
+	}
+	if mux != nil {
+		run.Counts = mux.Finish(cpuRes.Cycles)
+		run.MuxRotations = mux.Rotations
+	}
+	if sink := opt.Telemetry; sink != nil {
+		sink.AddEngine(unit.EngineCounters())
+		if eng == cpu.EngineInterp {
+			sink.CountRun(telemetry.VariantInterp)
+		} else {
+			sink.CountRun(cpu.FastVariant(mon))
+		}
+	}
+	if err != nil {
+		return run, fmt.Errorf("sampling: run %s on %s: %w", p.Name, mach.Name, err)
+	}
+	return run, nil
 }
 
 // DiffOutcome compares two engines' outcomes of the same cell: error

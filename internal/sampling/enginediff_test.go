@@ -9,6 +9,7 @@ package sampling_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"pmutrust/internal/cpu"
@@ -189,10 +190,10 @@ func TestCollectMaxInstrs(t *testing.T) {
 	}
 }
 
-// TestDiffOutcome pins the comparison protocol shared by Collect's
-// EngineBoth path and the ablation self-check: error-parity mismatches
-// and error-text mismatches are divergences, and runs that failed with
-// identical errors still have their partial streams diffed.
+// TestDiffOutcome pins the comparison protocol of every EngineBoth
+// self-check (CollectCell's and each scheduled tenant's): error-parity
+// mismatches and error-text mismatches are divergences, and runs that
+// failed with identical errors still have their partial streams diffed.
 func TestDiffOutcome(t *testing.T) {
 	mkRun := func(samples int) *sampling.Run {
 		r := &sampling.Run{CPU: cpu.Result{Instructions: 10, Cycles: 20}}
@@ -219,6 +220,44 @@ func TestDiffOutcome(t *testing.T) {
 	// mask a divergent partial stream.
 	if err := sampling.DiffOutcome(mkRun(2), limitErr, mkRun(3), errors.New("limit hit")); err == nil {
 		t.Error("divergent partial streams behind identical errors not reported")
+	}
+}
+
+// TestRunEngines pins the engine-mode helper: the engines each mode runs,
+// in order (the interpreter, the reference, first), and under EngineBoth
+// that a divergence fails the call with the zero value while an outcome
+// both engines agree on, failures included, is the fast engine's.
+func TestRunEngines(t *testing.T) {
+	diverged, runErr := errors.New("diverged"), errors.New("limit hit")
+	interp, fast := cpu.EngineInterp, cpu.EngineFast
+	for _, tc := range []struct {
+		mode    sampling.EngineMode
+		runErr  error
+		diff    error
+		ran     []cpu.Engine
+		want    int
+		wantErr error
+	}{
+		{sampling.EngineFast, nil, nil, []cpu.Engine{fast}, 1, nil},
+		{sampling.EngineInterp, nil, nil, []cpu.Engine{interp}, 1, nil},
+		{sampling.EngineBoth, nil, nil, []cpu.Engine{interp, fast}, 2, nil},
+		{sampling.EngineBoth, runErr, nil, []cpu.Engine{interp, fast}, 2, runErr},
+		{sampling.EngineBoth, nil, diverged, []cpu.Engine{interp, fast}, 0, diverged},
+	} {
+		var ran []cpu.Engine
+		got, err := sampling.RunEngines(tc.mode, func(eng cpu.Engine) (int, error) {
+			ran = append(ran, eng)
+			return len(ran), tc.runErr
+		}, func(ref int, refErr error, got int, gotErr error) error {
+			if ref != 1 || got != 2 || refErr != tc.runErr || gotErr != tc.runErr {
+				t.Errorf("%s: diff saw (%d, %v) vs (%d, %v)", tc.mode, ref, refErr, got, gotErr)
+			}
+			return tc.diff
+		})
+		if got != tc.want || err != tc.wantErr || !slices.Equal(ran, tc.ran) {
+			t.Errorf("%s (run err %v, diff %v): got %d, %v after %v; want %d, %v after %v",
+				tc.mode, tc.runErr, tc.diff, got, err, ran, tc.want, tc.wantErr, tc.ran)
+		}
 	}
 }
 

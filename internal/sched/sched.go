@@ -233,113 +233,64 @@ func Collect(progs []*program.Program, mach machine.Machine, m sampling.Method, 
 		switchCost = mach.CtxSwitchCostCycles
 	}
 	kernelLeak := switchCost / kernelInstrsPerSwitchCycle
+	// Tenants differ only in their period-randomization seed, so the cell
+	// is lowered once and each tenant reseeds its copy.
+	cell, err := sampling.PrepareCell(mach, m, opt.Options)
+	if err != nil {
+		return nil, err
+	}
 
-	runAll := func(eng cpu.Engine) ([]*sampling.Run, []*task, []error) {
-		runs := make([]*sampling.Run, n)
+	res, err := sampling.RunEngines(opt.Engine, func(eng cpu.Engine) (tenantRuns, error) {
+		out := tenantRuns{runs: make([]*sampling.Run, n), errs: make([]error, n)}
 		tasks := make([]*task, n)
-		errs := make([]error, n)
 		for i, p := range progs {
-			runs[i], tasks[i], errs[i] = runTenant(p, mach, m, opt, i, slice, kernelLeak, eng)
-			if runs[i] == nil {
-				// Cell lowering failed (unsupported method, bad period):
-				// identical for every tenant and engine, so fail fast.
-				return runs, tasks, errs
-			}
+			tc := cell
+			tc.PMU.Seed = TenantSeed(opt.Seed, i)
+			out.runs[i], out.errs[i] = tc.Run(p, mach, opt.Options, eng,
+				func(unit *pmu.PMU, mux *pmu.Mux, chain cpu.FastMonitor) cpu.Monitor {
+					tasks[i] = &task{
+						unit:         unit,
+						mux:          mux,
+						mon:          chain,
+						slice:        slice,
+						kernelLeak:   kernelLeak,
+						nextDeadline: slice,
+						migrate:      opt.Migrate,
+						resolved:     cell.Resolved,
+						tele:         unit.EngineCounters(),
+					}
+					return tasks[i]
+				})
 		}
-		mergeForeign(runs, tasks)
-		return runs, tasks, errs
-	}
-
-	finish := func(runs []*sampling.Run, errs []error) ([]*sampling.Run, error) {
-		for _, err := range errs {
+		mergeForeign(out.runs, tasks)
+		for i, err := range out.errs {
 			if err != nil {
-				return nil, err
+				return out, fmt.Errorf("sched: tenant %d: %w", i, err)
 			}
 		}
-		return runs, nil
-	}
-
-	switch opt.Engine {
-	case sampling.EngineInterp:
-		runs, _, errs := runAll(cpu.EngineInterp)
-		return finish(runs, errs)
-	case sampling.EngineBoth:
-		ir, _, ierrs := runAll(cpu.EngineInterp)
-		fr, _, ferrs := runAll(cpu.EngineFast)
+		return out, nil
+	}, func(ref tenantRuns, _ error, got tenantRuns, _ error) error {
+		// Every tenant's error and run, not only the first failure.
 		for i := range progs {
-			if ir[i] == nil || fr[i] == nil {
-				// Lowering errors carry no engine-dependent state.
-				break
-			}
-			if err := sampling.DiffOutcome(ir[i], ierrs[i], fr[i], ferrs[i]); err != nil {
-				return nil, fmt.Errorf("engine divergence on tenant %d %s/%s/%s: %w",
+			if err := sampling.DiffOutcome(ref.runs[i], ref.errs[i], got.runs[i], got.errs[i]); err != nil {
+				return fmt.Errorf("engine divergence on tenant %d %s/%s/%s: %w",
 					i, progs[i].Name, mach.Name, m.Key, err)
 			}
 		}
-		return finish(fr, ferrs)
-	default:
-		runs, _, errs := runAll(cpu.EngineFast)
-		return finish(runs, errs)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return res.runs, nil
 }
 
-// runTenant executes one tenant under the scheduler. Like
-// sampling.Collect's inner run, it returns the Run even when the cpu run
-// errored, so EngineBoth can diff identically failing runs; a nil Run
-// means cell lowering failed before execution.
-func runTenant(p *program.Program, mach machine.Machine, m sampling.Method, opt Options,
-	tenant int, slice, kernelLeak uint64, eng cpu.Engine) (*sampling.Run, *task, error) {
-
-	topt := opt.Options
-	topt.Seed = TenantSeed(opt.Seed, tenant)
-	cell, err := sampling.PrepareCell(mach, m, topt)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	unit := pmu.New(cell.PMU)
-	tk := &task{
-		unit:         unit,
-		mon:          unit,
-		slice:        slice,
-		kernelLeak:   kernelLeak,
-		nextDeadline: slice,
-		migrate:      opt.Migrate,
-		resolved:     cell.Resolved,
-		tele:         unit.EngineCounters(),
-	}
-	if cell.UseMux {
-		tk.mux = pmu.NewMux(cell.Mux, unit)
-		tk.mon = tk.mux
-	}
-
-	cpuRes, err := cpu.RunEngine(p, mach.CPU, tk, topt.MaxInstrs, eng)
-	if sink := topt.Telemetry; sink != nil {
-		sink.AddEngine(unit.EngineCounters())
-		if eng == cpu.EngineInterp {
-			sink.CountRun(telemetry.VariantInterp)
-		} else {
-			sink.CountRun(cpu.FastVariant(tk))
-		}
-	}
-	run := &sampling.Run{
-		Machine:     mach,
-		Requested:   m,
-		Method:      cell.Resolved,
-		Period:      cell.Period,
-		Samples:     unit.Samples(),
-		CPU:         cpuRes,
-		Overflows:   unit.Overflows,
-		DroppedPMIs: unit.DroppedPMIs,
-	}
-	if tk.mux != nil {
-		run.Counts = tk.mux.Finish(cpuRes.Cycles)
-		run.MuxRotations = tk.mux.Rotations
-	}
-	if err != nil {
-		return run, tk, fmt.Errorf("sched: tenant %d run %s on %s: %w", tenant, p.Name, mach.Name, err)
-	}
-	return run, tk, nil
+// tenantRuns is one engine's outcome of a multi-tenant collection: every
+// tenant's run, kept even when it errored so EngineBoth can diff
+// identically failing runs, and every tenant's error.
+type tenantRuns struct {
+	runs []*sampling.Run
+	errs []error
 }
 
 // mergeForeign delivers each tenant's drained in-flight captures as

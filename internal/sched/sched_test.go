@@ -1,10 +1,12 @@
 package sched_test
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
 
+	"pmutrust/internal/cpu"
 	"pmutrust/internal/machine"
 	"pmutrust/internal/pmu"
 	"pmutrust/internal/program"
@@ -177,6 +179,33 @@ func TestCollectRejectsTenants(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("sched.Collect with a 1-cycle period for 2 tenants: no error")
+	}
+}
+
+// TestTenantFailure pins the error contract of a failing scheduled
+// collection under every engine mode: no runs, and the first failing
+// tenant's error naming its index, program and machine. Under EngineBoth
+// the per-tenant self-check passes identically failing runs, so the
+// failure itself is reported, not a divergence.
+func TestTenantFailure(t *testing.T) {
+	// 160,005 and 1,815,007 instructions: only tenant 1 hits the limit.
+	progs := []*program.Program{
+		workloads.MustBuild("LatencyBiased", 0.05),
+		workloads.MustBuild("G4Box", 0.25),
+	}
+	mach := machine.IvyBridge()
+	for _, eng := range []sampling.EngineMode{sampling.EngineFast, sampling.EngineInterp, sampling.EngineBoth} {
+		runs, err := sched.Collect(progs, mach, mustMethod(t, "classic"), sched.Options{
+			Options: sampling.Options{PeriodBase: 1000, Seed: 1, MaxInstrs: 400_000, Engine: eng},
+		})
+		if runs != nil || !errors.Is(err, cpu.ErrInstrLimit) {
+			t.Fatalf("%s: runs %v, err %v; want no runs and the instruction limit", eng, runs, err)
+		}
+		for _, want := range []string{"tenant 1", "G4Box", mach.Name} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", eng, err, want)
+			}
+		}
 	}
 }
 

@@ -109,14 +109,6 @@ func (r *RNG) Fork() *RNG {
 	return &RNG{state: r.Uint64() ^ 0xd1b54a32d192ed03}
 }
 
-// Zipf draws from a Zipf-like distribution over [0, n) with exponent s > 0.
-// It uses inverse-CDF sampling over precomputed weights when n is small and
-// rejection sampling otherwise; for the workload generator n is always small
-// enough that the caller should prefer NewZipf for repeated draws.
-func (r *RNG) Zipf(z *Zipf) int {
-	return z.Draw(r)
-}
-
 // Zipf is a precomputed Zipf(s) distribution over [0, n).
 // Rank 0 is the most probable outcome. It is used by the workload
 // generators to produce the long-tail "few hotspots, thousands of entries"
@@ -152,29 +144,5 @@ func (z *Zipf) N() int { return len(z.cdf) }
 
 // CDF returns the cumulative probability of outcomes 0..i.
 func (z *Zipf) CDF(i int) float64 { return z.cdf[i] }
-
-// PDF returns the probability of outcome i.
-func (z *Zipf) PDF(i int) float64 {
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}
-
-// Draw returns a rank in [0, N) using rng.
-func (z *Zipf) Draw(rng *RNG) int {
-	u := rng.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
 
 func pow(base, exp float64) float64 { return math.Pow(base, exp) }

@@ -302,9 +302,6 @@ func WorkloadByName(name string) (WorkloadSpec, error) { return workloads.ByName
 // spec document (strict JSON: unknown fields are errors).
 func ParsePhasedSpec(data []byte) (PhasedSpec, error) { return workloads.ParsePhasedSpec(data) }
 
-// LoadPhasedSpec reads and parses a spec file (`wlgen -spec`).
-func LoadPhasedSpec(path string) (PhasedSpec, error) { return workloads.LoadPhasedSpec(path) }
-
 // BuildPhased generates the program for a spec at the given scale —
 // a pure function of (spec, scale), byte-identical at any parallelism.
 func BuildPhased(s PhasedSpec, scale float64) (*Program, error) {
