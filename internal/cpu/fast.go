@@ -3,7 +3,6 @@ package cpu
 import (
 	"pmutrust/internal/isa"
 	"pmutrust/internal/program"
-	"pmutrust/internal/telemetry"
 )
 
 // Engine selects the execution engine for a run. Both engines are
@@ -95,7 +94,8 @@ type BulkCounts struct {
 //     is near).
 //
 // The PMU and the multiplexed virtual PMU (internal/pmu PMU and Mux) are
-// the production implementations; NopMonitor implements it trivially.
+// the production implementations; Broadcast shares one execution among
+// several of them, and NopMonitor implements it trivially.
 type FastMonitor interface {
 	Monitor
 
@@ -139,16 +139,6 @@ func (NopMonitor) OnFastBranch(from, to uint32, op isa.Op) {}
 
 // BulkRetire implements FastMonitor.
 func (NopMonitor) BulkRetire(c BulkCounts) {}
-
-// FastVariant reports the execution path RunFast takes for mon: the
-// stride loop for a FastMonitor, the reference interpreter for any other
-// monitor. Telemetry counts runs by it.
-func FastVariant(mon Monitor) telemetry.Variant {
-	if _, ok := mon.(FastMonitor); ok {
-		return telemetry.VariantFull
-	}
-	return telemetry.VariantInterp
-}
 
 // Decoded-instruction flag bits (fastInstr.fl), used by the generic
 // (event-mode) body.

@@ -171,6 +171,11 @@ func diffPMU(p *program.Program, cpuCfg cpu.Config, pmuCfg pmu.Config, maxInstrs
 	if err := diffResults(ri, rf); err != nil {
 		return err
 	}
+	return diffUnits(ui, uf)
+}
+
+// diffUnits compares two sampling units' totals and sample streams.
+func diffUnits(ui, uf *pmu.PMU) error {
 	if ui.Overflows != uf.Overflows || ui.DroppedPMIs != uf.DroppedPMIs || ui.TotalEvents != uf.TotalEvents {
 		return fmt.Errorf("PMU totals diverge: interp ovf=%d drop=%d tot=%d, fast ovf=%d drop=%d tot=%d",
 			ui.Overflows, ui.DroppedPMIs, ui.TotalEvents, uf.Overflows, uf.DroppedPMIs, uf.TotalEvents)
@@ -297,21 +302,141 @@ func diffMux(p *program.Program, cpuCfg cpu.Config, muxCfg pmu.MuxConfig, maxIns
 		if err := diffResults(ri, rf); err != nil {
 			return fmt.Errorf("inner=%v: %w", withInner, err)
 		}
-		if muxI.Rotations != muxF.Rotations {
-			return fmt.Errorf("inner=%v: rotations diverge: interp %d, fast %d",
-				withInner, muxI.Rotations, muxF.Rotations)
-		}
-		ci, cf := muxI.Finish(ri.Cycles), muxF.Finish(rf.Cycles)
-		for i := range ci {
-			if ci[i] != cf[i] {
-				return fmt.Errorf("inner=%v: count %d (%s) diverges:\n  interp %+v\n  fast   %+v",
-					withInner, i, ci[i].Event, ci[i], cf[i])
-			}
+		if err := diffMuxes(muxI, muxF, ri.Cycles); err != nil {
+			return fmt.Errorf("inner=%v: %w", withInner, err)
 		}
 		if withInner {
 			if err := diffSamples(innerI.Samples(), innerF.Samples()); err != nil {
 				return fmt.Errorf("inner sampling: %w", err)
 			}
+		}
+	}
+	return nil
+}
+
+// diffMuxes compares two multiplexers' rotation counts and their counting
+// outcome at the run's final cycle.
+func diffMuxes(muxI, muxF *pmu.Mux, cycles uint64) error {
+	if muxI.Rotations != muxF.Rotations {
+		return fmt.Errorf("rotations diverge: interp %d, fast %d", muxI.Rotations, muxF.Rotations)
+	}
+	ci, cf := muxI.Finish(cycles), muxF.Finish(cycles)
+	for i := range ci {
+		if ci[i] != cf[i] {
+			return fmt.Errorf("count %d (%s) diverges:\n  interp %+v\n  fast   %+v",
+				i, ci[i].Event, ci[i], cf[i])
+		}
+	}
+	return nil
+}
+
+// diffMix checks a mixRecorder's totals against the interpreter's Result
+// and its taken-branch stream against the interpreter's retirement
+// stream evs: the stream must arrive in retirement order regardless of
+// which path delivered each branch.
+func diffMix(mr *mixRecorder, ri cpu.Result, erri error, evs []cpu.RetireEvent) error {
+	if mr.instrs != ri.Instructions || mr.uops != ri.Uops || mr.branches != ri.TakenBranches ||
+		mr.cond != ri.CondBranches || mr.mispred != ri.Mispredicts {
+		return fmt.Errorf("monitor totals diverge: instrs %d/%d uops %d/%d branches %d/%d cond %d/%d mispred %d/%d",
+			mr.instrs, ri.Instructions, mr.uops, ri.Uops, mr.branches, ri.TakenBranches,
+			mr.cond, ri.CondBranches, mr.mispred, ri.Mispredicts)
+	}
+	want := 0
+	for _, ev := range evs {
+		if ev.Taken {
+			if want >= len(mr.brStream) || mr.brStream[want] != ev.Idx {
+				return fmt.Errorf("branch stream diverges at %d", want)
+			}
+			want++
+		}
+	}
+	if erri == nil && want != len(mr.brStream) {
+		return fmt.Errorf("branch stream has %d extra entries", len(mr.brStream)-want)
+	}
+	return nil
+}
+
+// soloRef is the interpreter's run of a diffBroadcast program: what every
+// member's own solo interpreter run retires too, since no monitor feeds
+// back into execution.
+type soloRef struct {
+	p    *program.Program
+	cfg  cpu.Config
+	cap  uint64
+	ri   cpu.Result
+	erri error
+	evs  []cpu.RetireEvent
+}
+
+// run runs mon alone under the interpreter.
+func (s soloRef) run(mon cpu.Monitor) { cpu.Run(s.p, s.cfg, mon, s.cap) }
+
+// broadcastMember is one member of a diffBroadcast run and the check of
+// its outcome against its own solo interpreter run.
+type broadcastMember struct {
+	mon   cpu.FastMonitor
+	check func(s soloRef) error
+}
+
+// pmuMember is a sampling unit: totals and samples must match.
+func pmuMember(cfg pmu.Config) broadcastMember {
+	u := pmu.New(cfg)
+	return broadcastMember{u, func(s soloRef) error {
+		solo := pmu.New(cfg)
+		s.run(solo)
+		return diffUnits(solo, u)
+	}}
+}
+
+// muxMember is a multiplexer, bare or over a sampling unit: rotations,
+// counts and the inner samples must match.
+func muxMember(cfg pmu.MuxConfig, inner *pmu.Config) broadcastMember {
+	build := func() (*pmu.Mux, *pmu.PMU) {
+		if inner == nil {
+			return pmu.NewMux(cfg, nil), nil
+		}
+		u := pmu.New(*inner)
+		return pmu.NewMux(cfg, u), u
+	}
+	mux, unit := build()
+	return broadcastMember{mux, func(s soloRef) error {
+		soloMux, soloUnit := build()
+		s.run(soloMux)
+		if err := diffMuxes(soloMux, mux, s.ri.Cycles); err != nil || unit == nil {
+			return err
+		}
+		return diffUnits(soloUnit, unit)
+	}}
+}
+
+// mixMember is an adversarial stride schedule: totals and branch-stream
+// order must match the interpreter's.
+func mixMember(schedule []uint64) broadcastMember {
+	mr := &mixRecorder{schedule: schedule}
+	return broadcastMember{mr, func(s soloRef) error { return diffMix(mr, s.ri, s.erri, s.evs) }}
+}
+
+// diffBroadcast runs p once under RunFast with one cpu.Broadcast over
+// members and checks every member against its own solo interpreter run:
+// members sharing an execution must each observe it exactly as alone.
+func diffBroadcast(p *program.Program, cpuCfg cpu.Config, cap uint64, members []broadcastMember) error {
+	mons := make([]cpu.FastMonitor, len(members))
+	for i, m := range members {
+		mons[i] = m.mon
+	}
+	rf, errf := cpu.RunFast(p, cpuCfg, cpu.NewBroadcast(mons), cap)
+	ir := &interpRecorder{}
+	ri, erri := cpu.Run(p, cpuCfg, ir, cap)
+	if err := diffErrs(erri, errf); err != nil {
+		return err
+	}
+	if err := diffResults(ri, rf); err != nil {
+		return err
+	}
+	ref := soloRef{p, cpuCfg, cap, ri, erri, ir.evs}
+	for i, m := range members {
+		if err := m.check(ref); err != nil {
+			return fmt.Errorf("member %d (%T): %w", i, m.mon, err)
 		}
 	}
 	return nil
@@ -362,25 +487,8 @@ func diffProgram(p *program.Program, maxInstrs uint64) string {
 		if err := diffResults(ri, rm); err != nil {
 			return fmt.Sprintf("mix schedule %v: %v", schedule, err)
 		}
-		if mr.instrs != ri.Instructions || mr.uops != ri.Uops || mr.branches != ri.TakenBranches ||
-			mr.cond != ri.CondBranches || mr.mispred != ri.Mispredicts {
-			return fmt.Sprintf("mix schedule %v: monitor totals diverge: instrs %d/%d uops %d/%d branches %d/%d cond %d/%d mispred %d/%d",
-				schedule, mr.instrs, ri.Instructions, mr.uops, ri.Uops, mr.branches, ri.TakenBranches,
-				mr.cond, ri.CondBranches, mr.mispred, ri.Mispredicts)
-		}
-		// The taken-branch stream must arrive in retirement order
-		// regardless of which path delivered each branch.
-		want := 0
-		for _, ev := range ir.evs {
-			if ev.Taken {
-				if want >= len(mr.brStream) || mr.brStream[want] != ev.Idx {
-					return fmt.Sprintf("mix schedule %v: branch stream diverges at %d", schedule, want)
-				}
-				want++
-			}
-		}
-		if erri == nil && want != len(mr.brStream) {
-			return fmt.Sprintf("mix schedule %v: branch stream has %d extra entries", schedule, len(mr.brStream)-want)
+		if err := diffMix(mr, ri, erri, ir.evs); err != nil {
+			return fmt.Sprintf("mix schedule %v: %v", schedule, err)
 		}
 	}
 
@@ -427,6 +535,38 @@ func diffProgram(p *program.Program, maxInstrs uint64) string {
 		if err := diffMux(p, cpuCfg, muxCfg, cap); err != nil {
 			return fmt.Sprintf("mux config %d: %v", mi, err)
 		}
+	}
+
+	// Broadcast: members sharing one execution each observe it exactly
+	// as they would alone. The first set is every PMU of the grid, a mux
+	// over a PMU and a stride schedule; its tiny periods keep it mostly in
+	// event mode, so it takes their cap. The second set grants long
+	// strides under rotation deadlines that all differ, so every member's
+	// deadline must end strides and both LBR members need the branch
+	// stream.
+	cap := maxInstrs
+	if cap == 0 || cap > 30_000 {
+		cap = 30_000
+	}
+	inner := pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.PreciseDist, Period: 173, Seed: 11}
+	muxes := muxConfigGrid()
+	var grid []broadcastMember
+	for _, c := range pmuConfigGrid(7) {
+		grid = append(grid, pmuMember(c))
+	}
+	grid = append(grid, muxMember(muxes[1], &inner), mixMember([]uint64{5, 0, 1000, 1 << 40, 0, 1}))
+	if err := diffBroadcast(p, cpuCfg, cap, grid); err != nil {
+		return "broadcast (grid): " + err.Error()
+	}
+	strides := []broadcastMember{
+		mixMember([]uint64{1 << 40}),
+		pmuMember(pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.Imprecise, Period: 2003, SkidCycles: 20, Seed: 5}),
+		muxMember(muxes[2], nil), muxMember(muxes[1], &inner), muxMember(muxes[3], nil),
+		pmuMember(pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.PreciseDist, Period: 1009,
+			CaptureLBR: true, LBRDepth: 8, Seed: 3}),
+	}
+	if err := diffBroadcast(p, cpuCfg, cap, strides); err != nil {
+		return "broadcast (strides): " + err.Error()
 	}
 	return ""
 }
@@ -619,6 +759,7 @@ func TestDiffBatteryCoversAllVariants(t *testing.T) {
 		{"mixRecorder", &mixRecorder{schedule: []uint64{1}}, telemetry.VariantFull},
 		{"fenceRecorder", &fenceRecorder{}, telemetry.VariantFull},
 		{"NopMonitor", cpu.NopMonitor{}, telemetry.VariantFull},
+		{"Broadcast", cpu.NewBroadcast([]cpu.FastMonitor{&mixRecorder{}, cpu.NopMonitor{}}), telemetry.VariantFull},
 	}
 	// Every PMU and mux configuration of the grids takes the stride loop,
 	// with and without the LBR branch stream.
@@ -630,9 +771,14 @@ func TestDiffBatteryCoversAllVariants(t *testing.T) {
 	}
 	covered := map[telemetry.Variant]bool{}
 	for _, e := range entries {
-		got := cpu.FastVariant(e.mon)
+		// RunFast's dispatch rule: the stride loop for a FastMonitor, the
+		// interpreter for any other monitor.
+		got := telemetry.VariantInterp
+		if _, ok := e.mon.(cpu.FastMonitor); ok {
+			got = telemetry.VariantFull
+		}
 		if got != e.want {
-			t.Errorf("%s: FastVariant = %v, want %v", e.name, got, e.want)
+			t.Errorf("%s: takes %v, want %v", e.name, got, e.want)
 		}
 		covered[got] = true
 	}

@@ -340,7 +340,9 @@ func CollectCell(p *program.Program, mach machine.Machine, cell Cell, opt Option
 		return nil, fmt.Errorf("sampling: Options.Tenants = %d: multi-tenant collection goes through sched.Collect", opt.Tenants)
 	}
 	run, err := RunEngines(opt.Engine, func(eng cpu.Engine) (*Run, error) {
-		return cell.Run(p, mach, opt, eng, nil)
+		var run [1]*Run
+		err := RunCells(p, mach, []Cell{cell}, run[:], opt, eng, nil)
+		return run[0], err
 	}, func(ref *Run, refErr error, got *Run, gotErr error) error {
 		if err := DiffOutcome(ref, refErr, got, gotErr); err != nil {
 			return fmt.Errorf("engine divergence on %s/%s/%s: %w", p.Name, mach.Name, cell.Requested.Key, err)
@@ -379,57 +381,76 @@ func RunEngines[T any](mode EngineMode, run func(cpu.Engine) (T, error),
 	}
 }
 
-// Run is the one run body of every collection: it executes p on mach with
-// engine eng under the cell's monitor chain — the PMU, behind a Mux when
-// counting events were requested — wrapped in wrap's monitor when wrap
-// is non-nil (the scheduler's per-tenant task), and assembles the Run.
-// It is the only place a collection's engine counters and variant reach
-// opt.Telemetry. opt supplies the instruction limit and the sink.
-//
-// Run always returns the Run, even when the cpu run errored: the partial
-// sample stream (and partial multiplexed counts) is what EngineBoth
-// diffs on identically failing runs.
-func (c Cell) Run(p *program.Program, mach machine.Machine, opt Options, eng cpu.Engine,
-	wrap func(unit *pmu.PMU, mux *pmu.Mux, chain cpu.FastMonitor) cpu.Monitor) (*Run, error) {
+// RunCells is the one run body of every collection: it executes p once
+// on mach with engine eng and stores in runs[i] what cell i's chain
+// observed — its PMU, behind a Mux when counting events were requested,
+// wrapped in wrap's monitor when non-nil (the scheduler's per-tenant
+// task). Several chains share the execution through a cpu.Broadcast, and
+// their runs share the cpu.Result and the error. Only here do engine
+// counters and variants reach opt.Telemetry, once per cell. The runs are
+// stored even when the cpu run errored: the partial sample streams (and
+// mux counts) are what EngineBoth diffs on identically failing runs.
+func RunCells(p *program.Program, mach machine.Machine, cells []Cell, runs []*Run, opt Options, eng cpu.Engine,
+	wrap func(i int, unit *pmu.PMU, mux *pmu.Mux, chain cpu.FastMonitor) cpu.FastMonitor) error {
 
-	unit := pmu.New(c.PMU)
-	var chain cpu.FastMonitor = unit
-	var mux *pmu.Mux
-	if c.UseMux {
-		mux = pmu.NewMux(c.Mux, unit)
-		chain = mux
+	type chain struct {
+		unit *pmu.PMU
+		mux  *pmu.Mux
 	}
-	var mon cpu.Monitor = chain
-	if wrap != nil {
-		mon = wrap(unit, mux, chain)
+	var one [1]chain // a single chain needs no heap slice
+	chains := one[:]
+	var members []cpu.FastMonitor
+	if len(cells) > 1 {
+		chains = make([]chain, len(cells))
+		members = make([]cpu.FastMonitor, len(cells))
 	}
-	cpuRes, err := cpu.RunEngine(p, mach.CPU, mon, opt.MaxInstrs, eng)
-	run := &Run{
-		Machine:     mach,
-		Requested:   c.Requested,
-		Method:      c.Resolved,
-		Period:      c.Period,
-		Samples:     unit.Samples(),
-		CPU:         cpuRes,
-		Overflows:   unit.Overflows,
-		DroppedPMIs: unit.DroppedPMIs,
-	}
-	if mux != nil {
-		run.Counts = mux.Finish(cpuRes.Cycles)
-		run.MuxRotations = mux.Rotations
-	}
-	if sink := opt.Telemetry; sink != nil {
-		sink.AddEngine(unit.EngineCounters())
-		if eng == cpu.EngineInterp {
-			sink.CountRun(telemetry.VariantInterp)
-		} else {
-			sink.CountRun(cpu.FastVariant(mon))
+	var mon cpu.FastMonitor // the last chain's monitor, then the broadcast
+	for i := range cells {
+		c, ch := &cells[i], &chains[i]
+		ch.unit = pmu.New(c.PMU)
+		mon = ch.unit
+		if c.UseMux {
+			ch.mux = pmu.NewMux(c.Mux, ch.unit)
+			mon = ch.mux
+		}
+		if wrap != nil {
+			mon = wrap(i, ch.unit, ch.mux, mon)
+		}
+		if members != nil {
+			members[i] = mon
 		}
 	}
-	if err != nil {
-		return run, fmt.Errorf("sampling: run %s on %s: %w", p.Name, mach.Name, err)
+	if members != nil {
+		mon = cpu.NewBroadcast(members)
 	}
-	return run, nil
+	cpuRes, err := cpu.RunEngine(p, mach.CPU, mon, opt.MaxInstrs, eng)
+	if err != nil {
+		err = fmt.Errorf("sampling: run %s on %s: %w", p.Name, mach.Name, err)
+	}
+	variant := telemetry.VariantFull // the stride loop serves every FastMonitor
+	if eng == cpu.EngineInterp {
+		variant = telemetry.VariantInterp
+	}
+	for i := range cells {
+		c, ch := &cells[i], &chains[i]
+		runs[i] = &Run{
+			Machine:     mach,
+			Requested:   c.Requested,
+			Method:      c.Resolved,
+			Period:      c.Period,
+			Samples:     ch.unit.Samples(),
+			CPU:         cpuRes,
+			Overflows:   ch.unit.Overflows,
+			DroppedPMIs: ch.unit.DroppedPMIs,
+		}
+		if ch.mux != nil {
+			runs[i].Counts = ch.mux.Finish(cpuRes.Cycles)
+			runs[i].MuxRotations = ch.mux.Rotations
+		}
+		opt.Telemetry.AddEngine(ch.unit.EngineCounters())
+		opt.Telemetry.CountRun(variant)
+	}
+	return err
 }
 
 // DiffOutcome compares two engines' outcomes of the same cell: error

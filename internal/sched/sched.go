@@ -29,7 +29,10 @@
 // points exactly like mux rotation deadlines — serviced at the first
 // retirement whose cycle reaches them, before that retirement is counted
 // — so every tenant run is bit-identical across the interpreter and
-// every fast-engine variant.
+// every fast-engine variant. No monitor feeds back into execution, so
+// tenants that run the same program share one execution of it, which
+// each tenant's monitor chain observes through a cpu.Broadcast exactly
+// as it would a run of its own.
 //
 // Import boundaries: sched sits above cpu, pmu, machine and sampling,
 // and below experiments — it must never import internal/experiments.
@@ -37,6 +40,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"pmutrust/internal/cpu"
@@ -104,10 +108,6 @@ type task struct {
 	marks  []mark
 	drains []bool // drains[k]: service k caught an in-flight capture
 	stats  sampling.SchedStats
-
-	// tele is the tenant's telemetry counter block — the unit's own, so
-	// the whole chain (task → mux → PMU) records into one block.
-	tele *telemetry.EngineCounters
 }
 
 // service handles one scheduler deadline at retirement ev: the tenant is
@@ -163,7 +163,7 @@ func (t *task) OnRetire(ev cpu.RetireEvent) {
 // has already counted its reason.
 func (t *task) FastHeadroom(horizon uint64) (uint64, uint64) {
 	if horizon >= t.nextDeadline {
-		t.tele.Fallbacks[telemetry.FallbackSchedDeadline]++
+		t.EngineCounters().Fallbacks[telemetry.FallbackSchedDeadline]++
 		return 0, t.nextDeadline
 	}
 	g, d := t.mon.FastHeadroom(horizon)
@@ -181,6 +181,10 @@ func (t *task) OnFastBranch(from, to uint32, op isa.Op) {
 // BulkRetire implements cpu.FastMonitor by delegation: the engine's
 // fence guarantees no deadline lies inside the stride.
 func (t *task) BulkRetire(c cpu.BulkCounts) { t.mon.BulkRetire(c) }
+
+// EngineCounters implements cpu.EngineObserver: the unit's block, which
+// the whole chain (task → mux → PMU) records into.
+func (t *task) EngineCounters() *telemetry.EngineCounters { return t.unit.EngineCounters() }
 
 var _ cpu.FastMonitor = (*task)(nil)
 
@@ -239,16 +243,28 @@ func Collect(progs []*program.Program, mach machine.Machine, m sampling.Method, 
 	if err != nil {
 		return nil, err
 	}
+	var groups [][]int // tenant indices per program; a group shares one execution
+	for i, p := range progs {
+		k := slices.IndexFunc(groups, func(g []int) bool { return progs[g[0]] == p })
+		if k < 0 {
+			k, groups = len(groups), append(groups, nil)
+		}
+		groups[k] = append(groups[k], i)
+	}
 
 	res, err := sampling.RunEngines(opt.Engine, func(eng cpu.Engine) (tenantRuns, error) {
 		out := tenantRuns{runs: make([]*sampling.Run, n), errs: make([]error, n)}
 		tasks := make([]*task, n)
-		for i, p := range progs {
-			tc := cell
-			tc.PMU.Seed = TenantSeed(opt.Seed, i)
-			out.runs[i], out.errs[i] = tc.Run(p, mach, opt.Options, eng,
-				func(unit *pmu.PMU, mux *pmu.Mux, chain cpu.FastMonitor) cpu.Monitor {
-					tasks[i] = &task{
+		for _, g := range groups {
+			cells := make([]sampling.Cell, len(g))
+			for j, i := range g {
+				cells[j] = cell
+				cells[j].PMU.Seed = TenantSeed(opt.Seed, i)
+			}
+			runs := make([]*sampling.Run, len(g))
+			err := sampling.RunCells(progs[g[0]], mach, cells, runs, opt.Options, eng,
+				func(j int, unit *pmu.PMU, mux *pmu.Mux, chain cpu.FastMonitor) cpu.FastMonitor {
+					tasks[g[j]] = &task{
 						unit:         unit,
 						mux:          mux,
 						mon:          chain,
@@ -257,10 +273,12 @@ func Collect(progs []*program.Program, mach machine.Machine, m sampling.Method, 
 						nextDeadline: slice,
 						migrate:      opt.Migrate,
 						resolved:     cell.Resolved,
-						tele:         unit.EngineCounters(),
 					}
-					return tasks[i]
+					return tasks[g[j]]
 				})
+			for j, i := range g {
+				out.runs[i], out.errs[i] = runs[j], err
+			}
 		}
 		mergeForeign(out.runs, tasks)
 		for i, err := range out.errs {

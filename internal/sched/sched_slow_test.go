@@ -10,6 +10,7 @@ package sched_test
 // streams, foreign-sample merges and noise accounting at full scale.
 
 import (
+	"fmt"
 	"testing"
 
 	"pmutrust/internal/machine"
@@ -110,6 +111,29 @@ func TestTenantMigrationBitIdenticalPaperScale(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestSharedExecutionInvisibleFull is the full sharing grid: tenant
+// lists that repeat one program against separately built copies at 2, 3
+// and 8 tenants, under every method and sharing variant and both
+// engines — a kernel on every paper machine, and 40 randomized programs,
+// run to completion and cut at 5,000 instructions.
+func TestSharedExecutionInvisibleFull(t *testing.T) {
+	counts := []int{2, 3, 8}
+	engines := []sampling.EngineMode{sampling.EngineFast, sampling.EngineBoth}
+	t.Run("G4Box", func(t *testing.T) {
+		t.Parallel()
+		sharingGrid{func() *program.Program { return workloads.MustBuild("G4Box", 0.25) },
+			machine.All(), sharingVariants(), counts, engines, []uint64{0}}.check(t)
+	})
+	cfg := program.DefaultGenConfig()
+	for seed := uint64(0); seed < 40; seed++ {
+		t.Run(fmt.Sprintf("rand-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			sharingGrid{func() *program.Program { return program.Random(seed, cfg) },
+				[]machine.Machine{machine.IvyBridge()}, sharingVariants(), counts, engines, []uint64{0, 5000}}.check(t)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -367,12 +368,30 @@ func TestTenantDeterminism(t *testing.T) {
 	}
 }
 
+// tenantInput is one shape of tenant list.
+type tenantInput struct {
+	name   string
+	shared bool // one program repeated, so the tenants share one execution
+	progs  []*program.Program
+}
+
+// tenantInputs are the two shapes of tenant list: distinct kernels, one
+// execution each, and one program repeated n times — the homogeneous
+// tenancy the tenants experiment measures.
+func tenantInputs(t *testing.T, n int, scale float64) []tenantInput {
+	return []tenantInput{
+		{"distinct", false, tenantProgs(t, n, scale)},
+		{"shared", true, slices.Repeat([]*program.Program{workloads.MustBuild("G4Box", scale)}, n)},
+	}
+}
+
 // TestTenantGridBitIdentical is the scheduler's slice of the
 // differential battery: every (tenant count × machine × method) cell
 // must be bit-identical across the interpreter and the fast engine —
 // scheduler deadlines are fast-path fallback points exactly like mux
-// rotation deadlines. EngineBoth diffs internally (including foreign
-// merges and SchedStats via DiffRuns), so success is the assertion.
+// rotation deadlines — for distinct and for shared tenant programs.
+// EngineBoth diffs internally (including foreign merges and SchedStats
+// via DiffRuns), so success is the assertion.
 func TestTenantGridBitIdentical(t *testing.T) {
 	methods := append(sampling.Registry(), sampling.FreqMode())
 	counts := []int{2, 4}
@@ -380,26 +399,29 @@ func TestTenantGridBitIdentical(t *testing.T) {
 		counts = []int{2}
 	}
 	for _, n := range counts {
-		n := n
 		t.Run(tenantName(n), func(t *testing.T) {
 			t.Parallel()
-			progs := tenantProgs(t, n, 0.25)
-			for _, mach := range machine.All() {
-				for _, m := range methods {
-					if _, ok := sampling.Resolve(m, mach); !ok {
-						continue
+			for _, in := range tenantInputs(t, n, 0.25) {
+				t.Run(in.name, func(t *testing.T) {
+					t.Parallel()
+					for _, mach := range machine.All() {
+						for _, m := range methods {
+							if _, ok := sampling.Resolve(m, mach); !ok {
+								continue
+							}
+							_, err := sched.Collect(in.progs, mach, m, sched.Options{
+								Options: sampling.Options{
+									PeriodBase: 1000,
+									Seed:       42,
+									Engine:     sampling.EngineBoth,
+								},
+							})
+							if err != nil {
+								t.Errorf("n=%d %s %s/%s: %v", n, in.name, mach.Name, m.Key, err)
+							}
+						}
 					}
-					_, err := sched.Collect(progs, mach, m, sched.Options{
-						Options: sampling.Options{
-							PeriodBase: 1000,
-							Seed:       42,
-							Engine:     sampling.EngineBoth,
-						},
-					})
-					if err != nil {
-						t.Errorf("n=%d %s/%s: %v", n, mach.Name, m.Key, err)
-					}
-				}
+				})
 			}
 		})
 	}
@@ -443,34 +465,42 @@ func TestTenantFuzzPrograms(t *testing.T) {
 // TestTenantStridesPerSlice: the engine strides through a timeslice up
 // to its deadline fence, so a tenant run needs about one stride per
 // context switch and per sampling overflow, not one per handful of
-// instructions. The bound allows each tenant a stride at run start and
-// one at run end on top; every instruction is still accounted once,
-// strided or in event mode.
+// instructions. With one execution per tenant the bound allows each
+// tenant a stride at run start and one at run end on top. A shared
+// execution ends a stride at every tenant's switches and overflows, and
+// every tenant's counters record each shared stride, so there the bound
+// applies per tenant. Either way every tenant accounts each of its
+// instructions once, strided or in event mode.
 func TestTenantStridesPerSlice(t *testing.T) {
 	pdir := mustMethod(t, "pdir+ipfix")
 	for _, n := range []int{2, 4, 8} {
-		progs := tenantProgs(t, n, 0.25)
-		sink := &telemetry.Sink{}
-		runs, err := sched.Collect(progs, machine.IvyBridge(), pdir, sched.Options{
-			Options: sampling.Options{PeriodBase: 2000, Seed: 7, Telemetry: sink},
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		var switches, overflows, instrs uint64
-		for _, run := range runs {
-			switches += run.Sched.Switches
-			overflows += run.Overflows
-			instrs += run.CPU.Instructions
-		}
-		e := sink.Snapshot("").Engine
-		if bound := switches + overflows + 2*uint64(n); e.Strides > bound {
-			t.Errorf("n=%d: %d strides, want at most %d (switches %d + overflows %d + 2n)",
-				n, e.Strides, bound, switches, overflows)
-		}
-		if got := e.StrideInstrs + e.EventInstrs; got != instrs {
-			t.Errorf("n=%d: telemetry saw %d instructions (stride %d + event %d), tenants retired %d",
-				n, got, e.StrideInstrs, e.EventInstrs, instrs)
+		for _, in := range tenantInputs(t, n, 0.25) {
+			sink := &telemetry.Sink{}
+			runs, err := sched.Collect(in.progs, machine.IvyBridge(), pdir, sched.Options{
+				Options: sampling.Options{PeriodBase: 2000, Seed: 7, Telemetry: sink},
+			})
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, in.name, err)
+			}
+			var switches, overflows, instrs uint64
+			for _, run := range runs {
+				switches += run.Sched.Switches
+				overflows += run.Overflows
+				instrs += run.CPU.Instructions
+			}
+			e := sink.Snapshot("").Engine
+			strides, bound := e.Strides, switches+overflows+2*uint64(n)
+			if in.shared {
+				strides, bound = e.Strides/uint64(n), switches+overflows+2
+			}
+			if strides > bound {
+				t.Errorf("n=%d %s: %d strides, want at most %d (switches %d + overflows %d)",
+					n, in.name, strides, bound, switches, overflows)
+			}
+			if got := e.StrideInstrs + e.EventInstrs; got != instrs {
+				t.Errorf("n=%d %s: telemetry saw %d instructions (stride %d + event %d), tenants retired %d",
+					n, in.name, got, e.StrideInstrs, e.EventInstrs, instrs)
+			}
 		}
 	}
 }

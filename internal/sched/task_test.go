@@ -5,6 +5,7 @@ import (
 
 	"pmutrust/internal/cpu"
 	"pmutrust/internal/isa"
+	"pmutrust/internal/pmu"
 	"pmutrust/internal/telemetry"
 )
 
@@ -41,11 +42,11 @@ func TestTaskHeadroom(t *testing.T) {
 		{"chain-refuses", 0, cpu.NoDeadline, 1000},
 	} {
 		chain := &stubChain{grant: tc.chainGrant, deadline: tc.chainDL}
-		tk := &task{mon: chain, nextDeadline: 1000, tele: &telemetry.EngineCounters{}}
+		tk := &task{unit: pmu.New(pmu.Config{Period: 100}), mon: chain, nextDeadline: 1000}
 		if g, d := tk.FastHeadroom(999); g != tc.chainGrant || d != tc.wantDL {
 			t.Errorf("%s: grant %d, deadline %d; want %d, %d", tc.name, g, d, tc.chainGrant, tc.wantDL)
 		}
-		if n := tk.tele.Fallbacks[telemetry.FallbackSchedDeadline]; n != 0 {
+		if n := tk.EngineCounters().Fallbacks[telemetry.FallbackSchedDeadline]; n != 0 {
 			t.Errorf("%s: %d sched_deadline fallbacks short of the deadline", tc.name, n)
 		}
 		if chain.queries != 1 {
@@ -54,14 +55,14 @@ func TestTaskHeadroom(t *testing.T) {
 	}
 
 	chain := &stubChain{grant: 50, deadline: cpu.NoDeadline}
-	tk := &task{mon: chain, nextDeadline: 1000, tele: &telemetry.EngineCounters{}}
+	tk := &task{unit: pmu.New(pmu.Config{Period: 100}), mon: chain, nextDeadline: 1000}
 	if g, _ := tk.FastHeadroom(1000); g != 0 {
 		t.Fatalf("horizon at the deadline: grant %d, want 0", g)
 	}
 	if chain.queries != 0 {
 		t.Errorf("a refusal asked the chain %d times", chain.queries)
 	}
-	for r, n := range tk.tele.Fallbacks {
+	for r, n := range tk.EngineCounters().Fallbacks {
 		want := uint64(0)
 		if telemetry.FallbackReason(r) == telemetry.FallbackSchedDeadline {
 			want = 1

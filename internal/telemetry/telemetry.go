@@ -89,8 +89,9 @@ func (r FallbackReason) String() string {
 }
 
 // Variant names which execution path served a run: the fast engine's
-// stride loop or the reference interpreter. cpu.FastVariant selects it;
-// it is defined here so telemetry stays a leaf package.
+// stride loop or the reference interpreter. The collection run body
+// (sampling.RunCells) selects it from the engine; it is defined here so
+// telemetry stays a leaf package.
 type Variant uint8
 
 const (

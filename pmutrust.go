@@ -361,7 +361,9 @@ func Collect(prog *Program, mach Machine, m Method, opt Options) (*Run, error) {
 // CollectTenants timeshares progs on one simulated core of mach under a
 // CFS-style scheduler with per-task PMU context save/restore, sampling
 // every tenant with method m. Runs come back in tenant order, each with
-// its own sample stream and Run.Sched noise accounting. Set
+// its own sample stream and Run.Sched noise accounting. Tenants given the
+// same *Program share one simulated execution, which costs one engine run
+// instead of one per tenant and changes no result. Set
 // opt.Tenants to len(progs) (or leave 0 to let it default) and
 // opt.SchedTimesliceCycles/SchedSwitchCostCycles to override the
 // scheduling period and per-machine switch cost.
