@@ -204,8 +204,10 @@ func BenchmarkSweepKernels(b *testing.B) {
 
 // BenchmarkEngines times full sampling collections (workload + PMU) on the
 // Table 4 kernel set under both execution engines and writes
-// BENCH_engine.json with the per-workload speedup factor and its geomean —
-// the perf-trajectory artifact for the fast-path executor. The engines are
+// BENCH_engine_fresh.json with the per-workload speedup factor and its
+// geomean — the perf-trajectory artifact for the fast-path executor, which
+// cmd/benchgate compares against the committed BENCH_engine.json (copy the
+// fresh file over it to refresh the baseline). The engines are
 // bit-identical (see internal/cpu's differential harness), so the factor
 // is pure wall-clock.
 func BenchmarkEngines(b *testing.B) {
@@ -218,7 +220,7 @@ func BenchmarkEngines(b *testing.B) {
 	const periodBase = 4000 // the PaperScale period regime
 
 	// The interp and fast cases run telemetry-disabled (nil sink) and feed
-	// the BENCH_engine.json artifact, so the gated speedup is the
+	// the BENCH_engine_fresh.json artifact, so the gated speedup is the
 	// instrumented-but-disabled configuration — the one every production
 	// run without -telemetry uses. The fast+sink case times the same
 	// collection with a live sink attached; it is reported for inspection
@@ -313,10 +315,10 @@ func BenchmarkEngines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_engine.json", append(out, '\n'), 0o644); err != nil {
+	if err := os.WriteFile("BENCH_engine_fresh.json", append(out, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	b.Logf("engine speedup geomean %.2fx across %d kernels (BENCH_engine.json)", doc.Geomean, n)
+	b.Logf("engine speedup geomean %.2fx across %d kernels (BENCH_engine_fresh.json)", doc.Geomean, n)
 }
 
 // BenchmarkCollectAllocs pins the steady-state allocation cost of one
@@ -324,9 +326,9 @@ func BenchmarkEngines(b *testing.B) {
 // is the allocation-heavy one: every sample snapshots the branch ring;
 // the arena in internal/pmu amortizes those snapshots into shared
 // chunks). Run with -benchmem. The benchmark also writes
-// BENCH_alloc.json — allocations per collection, measured directly via
-// runtime.MemStats so the artifact works at any -benchtime — which
-// cmd/benchgate compares against the committed baseline: a per-sample
+// BENCH_alloc_fresh.json — allocations per collection, measured directly
+// via runtime.MemStats so the artifact works at any -benchtime — which
+// cmd/benchgate compares against the committed BENCH_alloc.json: a per-sample
 // allocation creeping back into the hot path multiplies allocs/op by
 // the sample count and fails the gate.
 func BenchmarkCollectAllocs(b *testing.B) {
@@ -408,7 +410,7 @@ func BenchmarkCollectAllocs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_alloc.json", append(out, '\n'), 0o644); err != nil {
+	if err := os.WriteFile("BENCH_alloc_fresh.json", append(out, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -121,6 +121,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -200,6 +201,23 @@ type jsonResult struct {
 	Table string `json:"table"`
 }
 
+// flagConflict rejects the flag combinations pmubench refuses before
+// running anything.
+func flagConflict(serve, worker, resume bool, sweepDir, storePath, jsonPath, teleFile string) error {
+	switch {
+	case serve && worker:
+		return errors.New("-serve and -worker are mutually exclusive")
+	case (serve || worker) && sweepDir == "":
+		return errors.New("-serve/-worker require -sweep-dir")
+	case resume && storePath == "":
+		return errors.New("-resume requires -store")
+	case jsonPath == "-" && teleFile == "-":
+		// stdout carries at most one document.
+		return errors.New("-json - and -telemetry - cannot both write to stdout")
+	}
+	return nil
+}
+
 func main() {
 	var (
 		experiment = flag.String("experiment", "all", "experiment to run (see package comment)")
@@ -230,16 +248,8 @@ func main() {
 	)
 	flag.Parse()
 	logger := telemetry.NewLogger(os.Stderr, *logJSON)
-	if *serve && *workerMode {
-		fmt.Fprintln(os.Stderr, "pmubench: -serve and -worker are mutually exclusive")
-		os.Exit(2)
-	}
-	if (*serve || *workerMode) && *sweepDir == "" {
-		fmt.Fprintln(os.Stderr, "pmubench: -serve/-worker require -sweep-dir")
-		os.Exit(2)
-	}
-	if *resume && *storePath == "" {
-		fmt.Fprintln(os.Stderr, "pmubench: -resume requires -store")
+	if err := flagConflict(*serve, *workerMode, *resume, *sweepDir, *storePath, *jsonPath, *teleFile); err != nil {
+		fmt.Fprintf(os.Stderr, "pmubench: %v\n", err)
 		os.Exit(2)
 	}
 	engine, err := sampling.EngineByName(*engineName)

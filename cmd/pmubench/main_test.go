@@ -135,3 +135,36 @@ func TestServeUsageMatchesGrids(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagConflicts pins the flag combinations refused before anything
+// runs. -json - with -telemetry - is one of them: stdout carries at most
+// one document, and both would write one there.
+func TestFlagConflicts(t *testing.T) {
+	for _, tc := range []struct {
+		name                                    string
+		serve, worker, resume                   bool
+		sweepDir, storePath, jsonPath, teleFile string
+		wantErr                                 string
+	}{
+		{name: "plain"},
+		{name: "json-stdout", jsonPath: "-"},
+		{name: "telemetry-stdout", teleFile: "-"},
+		{name: "json-file-telemetry-stdout", jsonPath: "out.json", teleFile: "-"},
+		{name: "json-stdout-telemetry-file", jsonPath: "-", teleFile: "tele.json"},
+		{name: "two-stdout-documents", jsonPath: "-", teleFile: "-", wantErr: "-json - and -telemetry -"},
+		{name: "serve-and-worker", serve: true, worker: true, sweepDir: "d", wantErr: "mutually exclusive"},
+		{name: "serve-without-dir", serve: true, wantErr: "-sweep-dir"},
+		{name: "worker-without-dir", worker: true, wantErr: "-sweep-dir"},
+		{name: "serve", serve: true, sweepDir: "d"},
+		{name: "resume-without-store", resume: true, wantErr: "-resume requires -store"},
+		{name: "resume", resume: true, storePath: "s.jsonl"},
+	} {
+		err := flagConflict(tc.serve, tc.worker, tc.resume, tc.sweepDir, tc.storePath, tc.jsonPath, tc.teleFile)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

@@ -69,7 +69,7 @@ import (
 
 // loadStore opens a results store by path, accepting all three shapes the
 // write side produces: a JSONL file (`pmubench -store`), a sharded cell
-// directory (results.DirStore), or a whole sweep directory from
+// directory (results.LoadDir), or a whole sweep directory from
 // `pmubench -serve` (rendered from its cells/ subdirectory, shard files
 // merged and deduplicated on read).
 func loadStore(path string) (results.Store, error) {

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pmutrust/internal/core"
@@ -34,35 +35,40 @@ func main() {
 		fmt.Fprintln(os.Stderr, "trustadvisor: -workload is required")
 		os.Exit(2)
 	}
-	spec, err := workloads.ByName(*workloadName)
-	if err != nil {
+	if err := run(os.Stdout, *workloadName, *machineName, *scale, *period, *seed, *repeats, *allMachines); err != nil {
 		fmt.Fprintf(os.Stderr, "trustadvisor: %v\n", err)
 		os.Exit(1)
 	}
-	p := spec.Build(*scale)
+}
 
-	var machines []machine.Machine
-	if *allMachines {
-		machines = machine.All()
-	} else {
-		m, err := machine.ByName(*machineName)
+// run assesses the workload on the named machine (or on every machine)
+// and writes one assessment table per machine to w.
+func run(w io.Writer, workloadName, machineName string, scale float64, period, seed uint64, repeats int, allMachines bool) error {
+	spec, err := workloads.ByName(workloadName)
+	if err != nil {
+		return err
+	}
+	p := spec.Build(scale)
+
+	machines := machine.All()
+	if !allMachines {
+		m, err := machine.ByName(machineName)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "trustadvisor: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		machines = []machine.Machine{m}
 	}
 
 	for _, m := range machines {
 		a, err := core.Assess(p, m, core.Options{
-			PeriodBase: *period,
-			Seed:       *seed,
-			Repeats:    *repeats,
+			PeriodBase: period,
+			Seed:       seed,
+			Repeats:    repeats,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "trustadvisor: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println(a.Table())
+		fmt.Fprintln(w, a.Table())
 	}
+	return nil
 }

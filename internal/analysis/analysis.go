@@ -32,22 +32,6 @@ func AccuracyError(est *profile.BlockProfile, reference *ref.Profile) (float64, 
 	return sum / float64(reference.NetInstructions), nil
 }
 
-// PerBlockErrors returns |est−ref|/ref per block for blocks the reference
-// says executed, keyed by block ID. Blocks with zero reference count are
-// skipped (relative error is undefined there). The paper's Table 3 notes
-// LBR per-block errors "can still reach 30-50% ... for some basic blocks";
-// this is the quantity behind that remark.
-func PerBlockErrors(est *profile.BlockProfile, reference *ref.Profile) map[int]float64 {
-	out := make(map[int]float64)
-	for b, rc := range reference.InstrCount {
-		if rc == 0 {
-			continue
-		}
-		out[b] = math.Abs(est.InstrEstimate[b]-float64(rc)) / float64(rc)
-	}
-	return out
-}
-
 // ImprovementFactor returns how many times smaller err is than base
 // (base/err). Both must be collected against the same reference. A factor
 // above 1 means err improves on base. Degenerate inputs (zero err) return

@@ -83,24 +83,6 @@ func TestAccuracyErrorZeroReference(t *testing.T) {
 	}
 }
 
-func TestPerBlockErrors(t *testing.T) {
-	p, r := fixedRef(t)
-	bp := profile.NewBlockProfile(p)
-	bp.InstrEstimate[0] = 150 // 25% off
-	bp.InstrEstimate[1] = 100 // exact
-	bp.InstrEstimate[2] = 2   // 100% off
-	pb := PerBlockErrors(bp, r)
-	if math.Abs(pb[0]-0.25) > 1e-12 || pb[1] != 0 || math.Abs(pb[2]-1) > 1e-12 {
-		t.Errorf("per-block errors = %v", pb)
-	}
-	// Zero-reference blocks are skipped.
-	r.InstrCount[2] = 0
-	pb = PerBlockErrors(bp, r)
-	if _, ok := pb[2]; ok {
-		t.Error("zero-reference block not skipped")
-	}
-}
-
 func TestImprovementFactor(t *testing.T) {
 	if got := ImprovementFactor(0.4, 0.1); got != 4 {
 		t.Errorf("factor = %v", got)

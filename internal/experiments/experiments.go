@@ -126,8 +126,8 @@ type Runner struct {
 	// cells already present in the store and appends newly measured ones
 	// (see cached.go). Cells whose configuration the identity does not
 	// fully name (a custom mux event list, a non-default switch cost)
-	// bypass it and are never stored. Any results.Store backend works — a
-	// FileStore for single-file resume, a DirStore merged view for
+	// bypass it and are never stored. Any results.Store works — a
+	// single-file store for resume, a merged shard-directory view for
 	// distributed sweeps.
 	Store results.Store
 	// RefStore, when non-nil, memoizes ground-truth reference profiles

@@ -185,11 +185,9 @@ func TestEdgeProfileHelpers(t *testing.T) {
 	if ep.Total() != 10 {
 		t.Errorf("total = %v", ep.Total())
 	}
-	out := ep.OutCounts(0)
-	if out[1] != 5 || out[2] != 3 {
-		t.Errorf("out counts = %v", out)
-	}
-	if ep.InCount(1) != 7 {
-		t.Errorf("in count = %v", ep.InCount(1))
+	for e, want := range map[profile.Edge]float64{{From: 0, To: 1}: 5, {From: 0, To: 2}: 3, {From: 2, To: 1}: 2} {
+		if ep.Counts[e] != want {
+			t.Errorf("count %v = %v, want %v", e, ep.Counts[e], want)
+		}
 	}
 }

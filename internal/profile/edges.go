@@ -37,28 +37,6 @@ func (ep *EdgeProfile) Total() float64 {
 	return sum
 }
 
-// OutCounts returns the per-successor counts of edges leaving block b.
-func (ep *EdgeProfile) OutCounts(b int) map[int]float64 {
-	out := make(map[int]float64)
-	for e, c := range ep.Counts {
-		if e.From == b {
-			out[e.To] = c
-		}
-	}
-	return out
-}
-
-// InCount returns the total traversal count into block b.
-func (ep *EdgeProfile) InCount(b int) float64 {
-	var sum float64
-	for e, c := range ep.Counts {
-		if e.To == b {
-			sum += c
-		}
-	}
-	return sum
-}
-
 // LoopStat describes one loop discovered from backedges.
 type LoopStat struct {
 	// Header is the loop-header block ID (the target of the backedge).

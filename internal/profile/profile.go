@@ -148,13 +148,3 @@ func (fp *FunctionProfile) Ranking() []int {
 	})
 	return ids
 }
-
-// TopN returns the first n entries of Ranking (fewer if the program has
-// fewer functions).
-func (fp *FunctionProfile) TopN(n int) []int {
-	r := fp.Ranking()
-	if len(r) > n {
-		r = r[:n]
-	}
-	return r
-}

@@ -163,9 +163,6 @@ func TestToFunctionsAndRanking(t *testing.T) {
 	if p.Funcs[rank[0]].Name != "hot" {
 		t.Errorf("rank[0] = %s", p.Funcs[rank[0]].Name)
 	}
-	if len(fp.TopN(2)) != 2 || len(fp.TopN(100)) != p.NumFuncs() {
-		t.Error("TopN sizing wrong")
-	}
 	// Deterministic tie-break: equal estimates order by ID.
 	bp2 := NewBlockProfile(p)
 	fp2 := bp2.ToFunctions()

@@ -104,11 +104,6 @@ func (p *Program) BlockAt(idx int) *Block {
 	return p.Blocks[p.BlockOf[idx]]
 }
 
-// FuncAt returns the function containing code index idx.
-func (p *Program) FuncAt(idx int) *Function {
-	return p.Funcs[p.FuncOf[idx]]
-}
-
 // FindFunc returns the function with the given name, or nil.
 func (p *Program) FindFunc(name string) *Function {
 	for _, f := range p.Funcs {

@@ -68,9 +68,9 @@ func TestLookupTables(t *testing.T) {
 		if i < blk.Start || i >= blk.End() {
 			t.Fatalf("BlockAt(%d) = %s [%d,%d)", i, blk.Label, blk.Start, blk.End())
 		}
-		fn := p.FuncAt(i)
+		fn := p.Funcs[p.FuncOf[i]]
 		if i < fn.Start || i >= fn.End {
-			t.Fatalf("FuncAt(%d) out of range", i)
+			t.Fatalf("FuncOf[%d] out of range", i)
 		}
 		if p.Blocks[p.BlockOf[i]].Func != fn.ID {
 			t.Fatalf("block/function tables disagree at %d", i)

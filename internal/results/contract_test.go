@@ -51,7 +51,7 @@ func TestFileStoreContract(t *testing.T) {
 }
 
 // TestDirStoreContract runs the backend contract suite against the
-// sharded-directory store, with a single writer appending to its own
+// store opened over a shard directory (OpenDir), with a single writer appending to its own
 // shard file (the multi-writer merge has its own tests in dir_test.go).
 // Open gives each subtest a fresh directory; Reopen/Tear operate on the
 // directory Open last created.
@@ -74,7 +74,7 @@ func TestDirStoreContract(t *testing.T) {
 			return st
 		},
 		// Tear the store's own shard file: OpenDir must truncate it back
-		// to a clean boundary before appending, like FileStore Open.
+		// to a clean boundary before appending, like Open.
 		Tear: func(t *testing.T) { tear(t, filepath.Join(dir, "w1.jsonl")) },
 	})
 }

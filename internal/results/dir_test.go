@@ -128,8 +128,8 @@ func TestDirStoreDedupeRulePinned(t *testing.T) {
 }
 
 // TestDirStorePutAppliesMergeRule: the live in-memory view applies the
-// same rule as a reload, so a DirStore never disagrees with what LoadDir
-// would see.
+// same rule as a reload, so an OpenDir store never disagrees with what
+// LoadDir would see.
 func TestDirStorePutAppliesMergeRule(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenDir(dir, "w1")
@@ -199,8 +199,8 @@ func TestDirStoreForeignTornTailTolerated(t *testing.T) {
 	}
 }
 
-// TestDirStoreInteriorCorruptionRejected: like FileStore, a malformed
-// line that is not the final one is corruption, not tolerance.
+// TestDirStoreInteriorCorruptionRejected: as in a single store file, a
+// malformed line that is not the final one is corruption, not tolerance.
 func TestDirStoreInteriorCorruptionRejected(t *testing.T) {
 	dir := t.TempDir()
 	rec := dirRec("A", 0.1)

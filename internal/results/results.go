@@ -8,11 +8,11 @@
 // already present and is guaranteed to reproduce the uninterrupted run
 // bit for bit.
 //
-// Store is the pluggable backend interface. FileStore (one append-only
-// JSONL file) serves single-process sweeps; DirStore (a directory of
-// per-writer JSONL shard files, merged on read with a deterministic
-// duplicate rule) serves distributed coordinator/worker sweeps, where a
-// retried shard can legitimately record the same cell twice. The
+// Store is the backend interface and FileStore its one implementation:
+// the merged records of one append-only JSONL file (single-process
+// sweeps) or of a directory of per-writer JSONL shard files (distributed
+// coordinator/worker sweeps, where a retried shard can legitimately
+// record the same cell twice), with a deterministic duplicate rule. The
 // storetest subpackage is the executable contract every backend must
 // pass.
 package results

@@ -7,18 +7,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 )
 
-// Store is the pluggable results backend the sweep layer measures into
-// and the report layer renders from: a keyed set of Records addressed by
-// their identity fingerprint. Two backends ship with the package — the
-// append-only single-file JSONL FileStore and the sharded-directory
-// DirStore distributed sweeps merge on read — and the contract both must
-// honor (append durability, torn-tail tolerance, deterministic duplicate
-// resolution, concurrent appenders) is executable as the
-// internal/results/storetest suite.
+// Store is the results backend the sweep layer measures into and the
+// report layer renders from: a keyed set of Records addressed by their
+// identity fingerprint. FileStore is the one implementation; the
+// contract it honors (append durability, torn-tail tolerance,
+// deterministic duplicate resolution, concurrent appenders) is
+// executable as the internal/results/storetest suite, which is where a
+// future backend would start.
 type Store interface {
 	// Put stores rec (stamping V and, if empty, Key from the identity),
 	// appending it durably for file-backed stores. Safe for concurrent
@@ -40,26 +40,45 @@ type Store interface {
 	Close() error
 }
 
-// FileStore is a Store backed by a single append-only JSONL file. Puts
-// append one line each straight to the file (the file is the log), so a
-// sweep whose *process* is killed mid-run keeps every completed cell,
-// and Open tolerates the torn final line such a kill can leave behind.
-// Appends are not fsynced per Put (that would serialize the sweep on the
-// disk); Close syncs, so only an OS crash or power loss between a Put
-// and Close can lose records — and a resumed sweep simply re-measures
-// those cells. A FileStore is safe for concurrent use — sweep workers
-// Put from many goroutines.
+// FileStore is a Store holding the merged records of the JSONL files it
+// read, appending to at most one of them. Create, Open and Load read one
+// file; OpenDir and LoadDir read every "*.jsonl" file of a directory,
+// the layout of distributed sweeps, where every writer appends to its
+// own file (named after the writer, so two processes never interleave
+// lines).
 //
-// Duplicate keys resolve by the store-wide rule (see merge): the record
-// with the lexicographically smallest canonical JSON encoding wins,
-// independent of Put or line order. Re-putting an identical identity
-// re-states the same value, so the rule is invisible in normal operation
-// — it only pins which candidate survives when payloads genuinely
-// conflict, and it pins the *same* winner a DirStore merge would elect.
+// Puts append one line each straight to the append file (the file is
+// the log), so a sweep whose *process* is killed mid-run keeps every
+// completed cell. Only the append file is ever modified: a torn final
+// line there (a writer killed mid-append) is truncated away before
+// appending, while a torn tail in any other file is skipped but left
+// alone, since its writer may still be alive mid-append. A malformed
+// line before the last one is corruption in any file. Appends are not
+// fsynced per Put (that would serialize the sweep on the disk); Close
+// syncs, so only an OS crash or power loss between a Put and Close can
+// lose records — and a resumed sweep simply re-measures those cells. A
+// FileStore is safe for concurrent use — sweep workers Put from many
+// goroutines.
+//
+// # Duplicate resolution
+//
+// A retried shard can legitimately put the same cell into two files:
+// the first owner was killed (or superseded) after measuring it, and the
+// second owner measured it again. Among all records sharing a key, the
+// one whose canonical JSON encoding (json.Marshal of the parsed, stamped
+// record) is lexicographically smallest wins, on read and on Put alike.
+// The rule is a pure function of the record *set* — independent of file
+// names, file order, line order and Put order — so every reader of a
+// shard directory elects the same winner, which is what makes
+// distributed renders byte-identical to single-process ones, and a
+// store's live view always equals what a reload would see. Measurements
+// are pure functions of their content-addressed identity, so genuine
+// conflicts only arise from corruption or version skew; the rule's job
+// is to keep even those deterministic.
 type FileStore struct {
 	mu   sync.Mutex
-	path string
-	f    *os.File // append handle; nil for a memory-only store
+	path string   // the file or directory the store read
+	f    *os.File // append handle; nil for a loaded or memory-only store
 	recs map[string]Record
 	// enc holds the canonical encoding of the winning record per key —
 	// the comparison column of the duplicate rule.
@@ -69,34 +88,10 @@ type FileStore struct {
 var _ Store = (*FileStore)(nil)
 
 // NewMemory returns an unbacked store, for tests and one-shot renders.
-func NewMemory() *FileStore {
-	return &FileStore{recs: make(map[string]Record), enc: make(map[string][]byte)}
-}
+func NewMemory() *FileStore { return newStore("") }
 
-// merge applies the store-wide duplicate rule shared by every backend
-// (and pinned by the storetest contract suite): among all records
-// sharing a key, the one whose canonical JSON encoding (json.Marshal of
-// the parsed, stamped record) is lexicographically smallest wins. The
-// rule is a pure function of the record *set* — independent of file
-// names, file order, line order and Put order — so a single-file store,
-// a shard-directory merge-on-read and any future backend all elect the
-// same winner from the same candidates. Measurements are pure functions
-// of their content-addressed identity, so genuine conflicts only arise
-// from corruption or version skew; the rule's job is to keep even those
-// deterministic. recs is the backend's live view and enc its comparison
-// column; the caller must hold the backend lock and pass a V-stamped,
-// keyed record.
-func merge(recs map[string]Record, enc map[string][]byte, rec Record) error {
-	canon, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("results: marshal record: %w", err)
-	}
-	if old, ok := enc[rec.Key]; ok && bytes.Compare(old, canon) <= 0 {
-		return nil
-	}
-	enc[rec.Key] = canon
-	recs[rec.Key] = rec
-	return nil
+func newStore(path string) *FileStore {
+	return &FileStore{path: path, recs: make(map[string]Record), enc: make(map[string][]byte)}
 }
 
 // Create truncates (or creates) path and returns an empty store writing
@@ -106,37 +101,18 @@ func Create(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("results: create store: %w", err)
 	}
-	return &FileStore{path: path, f: f, recs: make(map[string]Record), enc: make(map[string][]byte)}, nil
+	s := newStore(path)
+	s.f = f
+	return s, nil
 }
 
 // Open loads the records already present at path (creating the file if
 // missing) and returns a store that appends to it — the resume entry
-// point. If the file ends in a torn line (a writer was killed mid-append)
-// the tail is truncated away so subsequent appends start on a clean line
-// boundary; a malformed line elsewhere is an error, since silently
-// dropping an interior record would make a resumed sweep re-measure — and
-// re-append — cells the file already holds.
+// point.
 func Open(path string) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("results: open store: %w", err)
-	}
-	s := &FileStore{path: path, f: f, recs: make(map[string]Record), enc: make(map[string][]byte)}
-	good, err := scanRecords(path, f, func(_ []byte, rec Record) {
-		merge(s.recs, s.enc, rec)
-	})
-	if err != nil {
-		f.Close()
+	s := newStore(path)
+	if err := s.openAppend(path); err != nil {
 		return nil, err
-	}
-	// Drop a torn tail, then position at the new end for appends.
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("results: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("results: seek: %w", err)
 	}
 	return s, nil
 }
@@ -145,28 +121,112 @@ func Open(path string) (*FileStore, error) {
 // the compare path use it; Put on a loaded store keeps records in memory
 // only.
 func Load(path string) (*FileStore, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("results: load store: %w", err)
-	}
-	defer f.Close()
-	s := &FileStore{path: path, recs: make(map[string]Record), enc: make(map[string][]byte)}
-	if _, err := scanRecords(path, f, func(_ []byte, rec Record) {
-		merge(s.recs, s.enc, rec)
-	}); err != nil {
+	s := newStore(path)
+	if err := s.read(path); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// scanRecords parses JSONL records from r, calling emit with each
-// well-formed line and its parsed record, and returns the byte offset
-// just past the last well-formed line. Only a malformed or truncated
-// *final* line is tolerated (it is not emitted and not counted in the
-// returned offset); anything malformed earlier is corruption. Both store
-// backends read through this, so torn-tail semantics cannot drift
-// between them.
-func scanRecords(path string, r io.Reader, emit func(line []byte, rec Record)) (good int64, err error) {
+// OpenDir merges the records of every *.jsonl file under dir (creating
+// dir if missing) and returns a store appending to dir/<writer>.jsonl.
+// writer must be unique among live writers of the directory — lines of a
+// shared append file would interleave; distributed workers derive it
+// from their (shard, lease generation) pair, which the lease protocol
+// makes single-owner.
+func OpenDir(dir, writer string) (*FileStore, error) {
+	if writer == "" {
+		return nil, fmt.Errorf("results: OpenDir needs a writer name")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("results: create store dir: %w", err)
+	}
+	own := filepath.Join(dir, writer+".jsonl")
+	s := newStore(dir)
+	if err := s.readDir(own); err != nil {
+		return nil, err
+	}
+	if err := s.openAppend(own); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// LoadDir returns a read-only merged view of every *.jsonl file under
+// dir — the merge-on-read entry point for renderers and coordinators.
+// Put on a loaded store keeps records in memory only.
+func LoadDir(dir string) (*FileStore, error) {
+	s := newStore(dir)
+	if err := s.readDir(""); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// openAppend merges the records of path (creating it if missing) and
+// makes it the store's append file. A torn tail (a writer was killed
+// mid-append) is truncated away so appends start on a clean line
+// boundary.
+func (s *FileStore) openAppend(path string) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("results: open store: %w", err)
+	}
+	good, err := s.scan(path, f)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Truncate(good); err != nil {
+		f.Close()
+		return fmt.Errorf("results: truncate torn tail: %w", err)
+	}
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		f.Close()
+		return fmt.Errorf("results: seek: %w", err)
+	}
+	s.f = f
+	return nil
+}
+
+// read merges the records of the file at path without modifying it.
+func (s *FileStore) read(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("results: load store: %w", err)
+	}
+	defer f.Close()
+	_, err = s.scan(path, f)
+	return err
+}
+
+// readDir merges every *.jsonl file under s.path except skip, in sorted
+// order (the merge rule does not depend on it, but a stable order keeps
+// error messages deterministic). A missing directory reads as empty.
+func (s *FileStore) readDir(skip string) error {
+	ents, err := os.ReadDir(s.path)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("results: read store dir: %w", err)
+	}
+	for _, e := range ents {
+		path := filepath.Join(s.path, e.Name())
+		if e.IsDir() || filepath.Ext(path) != ".jsonl" || path == skip {
+			continue
+		}
+		if err := s.read(path); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scan merges the JSONL records of r (read from path) and returns the
+// byte offset just past the last well-formed line. Only a malformed or
+// truncated *final* line is tolerated (it is not merged and not counted
+// in the returned offset); anything malformed earlier is corruption,
+// since silently dropping an interior record would make a resumed sweep
+// re-measure — and re-append — cells the file already holds.
+func (s *FileStore) scan(path string, r io.Reader) (good int64, err error) {
 	br := bufio.NewReader(r)
 	var off int64
 	for lineNo := 1; ; lineNo++ {
@@ -195,7 +255,9 @@ func scanRecords(path string, r io.Reader, emit func(line []byte, rec Record)) (
 				// risk gluing the next append onto it.
 				return off, nil
 			}
-			emit(line, rec)
+			if err := s.merge(rec); err != nil {
+				return 0, err
+			}
 			off += int64(len(line))
 		}
 		if rerr == io.EOF {
@@ -204,8 +266,25 @@ func scanRecords(path string, r io.Reader, emit func(line []byte, rec Record)) (
 	}
 }
 
+// merge applies the duplicate rule (see FileStore) to a V-stamped, keyed
+// record. The caller must hold s.mu, or own s before it is shared.
+func (s *FileStore) merge(rec Record) error {
+	canon, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("results: marshal record: %w", err)
+	}
+	if old, ok := s.enc[rec.Key]; ok && bytes.Compare(old, canon) <= 0 {
+		return nil
+	}
+	s.enc[rec.Key] = canon
+	s.recs[rec.Key] = rec
+	return nil
+}
+
 // Put stores rec (stamping V and, if empty, Key from the identity) and,
-// for file-backed stores, appends its JSONL line.
+// for a store with an append file, appends its JSONL line. A record that
+// loses to an already-merged duplicate is still appended but leaves the
+// view unchanged.
 func (s *FileStore) Put(rec Record) error {
 	rec.V = SchemaV
 	if rec.Key == "" {
@@ -223,7 +302,7 @@ func (s *FileStore) Put(rec Record) error {
 			return fmt.Errorf("results: append record: %w", err)
 		}
 	}
-	return merge(s.recs, s.enc, rec)
+	return s.merge(rec)
 }
 
 // Get returns the record stored under key.
@@ -249,13 +328,6 @@ func (s *FileStore) Records() []Record {
 		out = append(out, rec)
 	}
 	s.mu.Unlock()
-	sortRecords(out)
-	return out
-}
-
-// sortRecords orders records by (workload, machine, method, key) — the
-// canonical render order shared by every backend.
-func sortRecords(out []Record) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Workload != b.Workload {
@@ -269,10 +341,24 @@ func sortRecords(out []Record) {
 		}
 		return a.Key < b.Key
 	})
+	return out
 }
 
-// Path returns the backing file path ("" for memory-only stores).
+// Path returns the file or directory the store read ("" for memory-only
+// stores).
 func (s *FileStore) Path() string { return s.path }
+
+// WriterPath returns the file Puts append to ("" for a loaded,
+// memory-only or closed store). The fault-injection harness tears this
+// file's tail to simulate a writer killed mid-append.
+func (s *FileStore) WriterPath() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return ""
+	}
+	return s.f.Name()
+}
 
 // Close fsyncs and releases the append handle, if any. The store stays
 // readable.

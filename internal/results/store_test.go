@@ -154,12 +154,12 @@ func TestLoadRejectsSchemaMismatch(t *testing.T) {
 	}
 }
 
-// TestStoreDuplicateRuleUnified pins the store-wide duplicate rule on
-// the FileStore side: the record with the smallest canonical JSON
-// encoding wins its key regardless of Put order, so a FileStore and a
-// DirStore holding the same record set always elect the same winner
-// (the storetest suite checks the DirStore half and the cross-backend
-// agreement).
+// TestStoreDuplicateRuleUnified pins the store-wide duplicate rule on a
+// single store file: the record with the smallest canonical JSON
+// encoding wins its key regardless of Put order, so a store file and a
+// shard directory holding the same record set always elect the same
+// winner (the storetest suite checks the directory half and the
+// cross-backend agreement).
 func TestStoreDuplicateRuleUnified(t *testing.T) {
 	lo := testRec("G4Box", "lbr", 0.125) // "err":0.125 sorts before "err":0.5
 	hi := testRec("G4Box", "lbr", 0.5)

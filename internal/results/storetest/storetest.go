@@ -3,8 +3,9 @@
 // and injure its backing storage) and TestStore runs the shared suite:
 // append durability across reopens, torn-tail tolerance, deterministic
 // duplicate resolution, and concurrent appenders. internal/results runs
-// it against both shipped backends (FileStore and DirStore); a new
-// backend — an sqlite or HTTP store — starts by passing this suite.
+// it against FileStore opened both ways (one file, and a shard
+// directory); a new backend — an sqlite or HTTP store — starts by
+// passing this suite.
 package storetest
 
 import (
@@ -146,8 +147,8 @@ func testTornTail(t *testing.T, h Harness) {
 // canonical JSON encoding is lexicographically smallest wins. The rule
 // is a pure function of the record set (not of Put order, file order or
 // timing), so any two backends holding the same records agree on every
-// winner; pinning the rule here, in the suite both shipped backends run,
-// is the cross-backend agreement check.
+// winner; pinning the rule here, in the suite every backend (and both
+// ways of opening FileStore) runs, is the cross-backend agreement check.
 func testDuplicateDedupe(t *testing.T, h Harness) {
 	st := h.Open(t)
 	a := Rec("dup", 0.125)

@@ -88,21 +88,15 @@ type Options struct {
 	// MuxPolicy selects the multiplexer's rotation policy (default
 	// round-robin). Ignored without Events.
 	MuxPolicy pmu.MuxPolicy
-	// Tenants enables the multi-tenant mode: N simulated programs
-	// time-share one simulated core under the timeslice scheduler of
-	// internal/sched, each with its own virtualized PMU context. 0 and 1
-	// both mean a single exclusive tenant. Collect itself rejects N > 1 —
-	// multi-tenant collections go through sched.Collect, which consumes
-	// the scheduling fields below (sampling stays import-free of sched).
-	Tenants int
 	// SchedTimesliceCycles is the scheduler period in simulated cycles:
-	// each of the N tenants runs PeriodCycles/N per round, CFS-style, so
-	// the context-switch rate grows with the tenant count (0 =
-	// sched.DefaultPeriodCycles). Ignored without Tenants > 1.
+	// each of the N tenants of a sched.Collect runs PeriodCycles/N per
+	// round, CFS-style, so the context-switch rate grows with the tenant
+	// count (0 = sched.DefaultPeriodCycles). Only sched.Collect reads it
+	// (sampling stays import-free of sched).
 	SchedTimesliceCycles uint64
 	// SchedSwitchCostCycles overrides the machine's context-switch cost
 	// (Machine.CtxSwitchCostCycles) for the scheduler's switch-in leak
-	// model. Ignored without Tenants > 1.
+	// model. Only sched.Collect reads it.
 	SchedSwitchCostCycles uint64
 	// Telemetry, when non-nil, receives each run's engine counters and
 	// variant at run end. Telemetry observes, never perturbs: it is not
@@ -333,12 +327,6 @@ func Collect(p *program.Program, mach machine.Machine, m Method, opt Options) (*
 // instruction limit and the telemetry sink; the rest of it was lowered
 // into the cell.
 func CollectCell(p *program.Program, mach machine.Machine, cell Cell, opt Options) (*Run, error) {
-	if opt.Tenants > 1 {
-		// Multi-tenant collections need the scheduler layer above this
-		// package; keeping the rejection here means a stray Tenants value
-		// can never silently collect single-tenant.
-		return nil, fmt.Errorf("sampling: Options.Tenants = %d: multi-tenant collection goes through sched.Collect", opt.Tenants)
-	}
 	run, err := RunEngines(opt.Engine, func(eng cpu.Engine) (*Run, error) {
 		var run [1]*Run
 		err := RunCells(p, mach, []Cell{cell}, run[:], opt, eng, nil)

@@ -211,13 +211,8 @@ func Collect(progs []*program.Program, mach machine.Machine, m sampling.Method, 
 	if n == 0 {
 		return nil, fmt.Errorf("sched: no tenant programs")
 	}
-	if opt.Tenants != 0 && opt.Tenants != n {
-		return nil, fmt.Errorf("sched: Options.Tenants = %d but %d programs", opt.Tenants, n)
-	}
 	if n == 1 && len(opt.Migrate) == 0 {
-		o := opt.Options
-		o.Tenants = 0
-		run, err := sampling.Collect(progs[0], mach, m, o)
+		run, err := sampling.Collect(progs[0], mach, m, opt.Options)
 		if err != nil {
 			return nil, err
 		}

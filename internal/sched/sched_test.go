@@ -151,31 +151,16 @@ func TestSingleTenantMatchesCollect(t *testing.T) {
 	}
 }
 
-// TestCollectRejectsTenants pins the layering guards: sampling.Collect
-// refuses multi-tenant options, and sched.Collect validates its own
-// inputs.
+// TestCollectRejectsTenants pins sched.Collect's input validation.
 func TestCollectRejectsTenants(t *testing.T) {
 	p := workloads.MustBuild("G4Box", 0.25)
 	mach := machine.IvyBridge()
 	classic := mustMethod(t, "classic")
 
-	_, err := sampling.Collect(p, mach, classic, sampling.Options{
-		PeriodBase: 1000, Seed: 1, Tenants: 2,
-	})
-	if err == nil || !strings.Contains(err.Error(), "sched.Collect") {
-		t.Errorf("sampling.Collect with Tenants=2: err = %v, want pointer to sched.Collect", err)
-	}
-
 	if _, err := sched.Collect(nil, mach, classic, sched.Options{}); err == nil {
 		t.Error("sched.Collect with no programs: no error")
 	}
-	_, err = sched.Collect([]*program.Program{p, p}, mach, classic, sched.Options{
-		Options: sampling.Options{PeriodBase: 1000, Tenants: 4},
-	})
-	if err == nil {
-		t.Error("sched.Collect with Tenants=4 but 2 programs: no error")
-	}
-	_, err = sched.Collect([]*program.Program{p, p}, mach, classic, sched.Options{
+	_, err := sched.Collect([]*program.Program{p, p}, mach, classic, sched.Options{
 		Options: sampling.Options{PeriodBase: 1000, SchedTimesliceCycles: 1},
 	})
 	if err == nil {

@@ -101,14 +101,6 @@ func (r *RNG) Jitter(amp uint64) int64 {
 	return int64(r.Uint64n(2*amp+1)) - int64(amp)
 }
 
-// Fork derives an independent generator from the current stream. Forked
-// generators are used to give each subsystem (period randomizer, workload
-// generator, ...) its own stream so that adding draws in one subsystem does
-// not perturb another.
-func (r *RNG) Fork() *RNG {
-	return &RNG{state: r.Uint64() ^ 0xd1b54a32d192ed03}
-}
-
 // Zipf is a precomputed Zipf(s) distribution over [0, n).
 // Rank 0 is the most probable outcome. It is used by the workload
 // generators to produce the long-tail "few hotspots, thousands of entries"

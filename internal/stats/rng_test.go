@@ -126,19 +126,6 @@ func TestJitterZeroMeanAndBounds(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	a := NewRNG(8)
-	f1 := a.Fork()
-	// Draw from the fork, then make sure the parent's next draw matches a
-	// parent that forked but never used the fork.
-	_ = f1.Uint64()
-	b := NewRNG(8)
-	_ = b.Fork()
-	if a.Uint64() != b.Uint64() {
-		t.Error("using a fork perturbed the parent stream")
-	}
-}
-
 func TestZipfBasics(t *testing.T) {
 	z := NewZipf(5, 1.2)
 	if z.N() != 5 {

@@ -168,9 +168,3 @@ func (h *Histogram) Add(x float64) {
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
-
-// BucketRange returns the [lo, hi) range of bucket i.
-func (h *Histogram) BucketRange(i int) (lo, hi float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
-}

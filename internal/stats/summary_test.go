@@ -104,10 +104,6 @@ func TestHistogram(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", i, c, want[i])
 		}
 	}
-	lo, hi := h.BucketRange(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("BucketRange(1) = [%v,%v)", lo, hi)
-	}
 }
 
 func TestHistogramPanics(t *testing.T) {

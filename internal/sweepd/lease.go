@@ -33,8 +33,8 @@ import (
 // between an owner's last heartbeat check and a steal can let both
 // measure the same in-flight cell; that is safe by construction — cells
 // are pure functions of their identity, duplicates land in different
-// shard files, and merge-on-read resolves them with results.DirStore's
-// deterministic rule. What the protocol *must* guarantee is only that
+// shard files, and merge-on-read resolves them with results.FileStore's
+// deterministic duplicate rule. What the protocol *must* guarantee is only that
 // each generation has a unique owner, so no two processes ever append to
 // the same shard file.
 //

@@ -3,7 +3,7 @@
 // grid into leased shards, N worker processes claim shards through
 // expiring lease files on a shared filesystem, and every completed cell
 // is appended to a per-(shard, lease-generation) JSONL file that readers
-// merge on read (results.DirStore). Because each cell is a pure,
+// merge on read (results.OpenDir / results.LoadDir). Because each cell is a pure,
 // content-addressed function of its identity, a distributed sweep — even
 // one that loses workers to SIGKILL mid-shard and retries their leases —
 // renders byte-identically to a single-process run; the package's
@@ -86,7 +86,7 @@ func doneDir(dir string) string   { return filepath.Join(dir, "done") }
 func CellsDir(dir string) string { return filepath.Join(dir, "cells") }
 
 // RefsDir returns the reference-memo directory of a sweep dir: a
-// results.DirStore holding the fleet's ground-truth profiles under the
+// shard directory (results.OpenDir) holding the fleet's ground-truth profiles under the
 // reserved results.RefMethod key. Every worker appends to its own shard
 // file there (writer-named, like cells), so each (workload, scale)
 // reference is executed at most once per fleet member — and exactly

@@ -372,7 +372,7 @@ func (w *Worker) runShard(p *Plan, r *experiments.Runner, shard int, lease *Leas
 
 // faultStep advances the fault-injection state after one appended
 // record.
-func (w *Worker) faultStep(st *results.DirStore) {
+func (w *Worker) faultStep(st *results.FileStore) {
 	f := w.Fault
 	if f == nil {
 		return

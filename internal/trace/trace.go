@@ -89,24 +89,3 @@ func (t *Tracer) Format(p *program.Program) string {
 	}
 	return b.String()
 }
-
-// BurstHistogram summarizes the retirement-burst size distribution of the
-// retained window: how many retirement cycles completed 1, 2, ... events.
-func (t *Tracer) BurstHistogram() map[int]int {
-	hist := make(map[int]int)
-	events := t.Events()
-	if len(events) == 0 {
-		return hist
-	}
-	run := 1
-	for i := 1; i < len(events); i++ {
-		if events[i].Cycle == events[i-1].Cycle {
-			run++
-			continue
-		}
-		hist[run]++
-		run = 1
-	}
-	hist[run]++
-	return hist
-}

@@ -76,18 +76,3 @@ func TestFormatAgainstRealRun(t *testing.T) {
 		t.Errorf("formatted lines = %d, want 32", lines)
 	}
 }
-
-func TestBurstHistogram(t *testing.T) {
-	tr := New(16, nil)
-	// Cycles: 1,1,1,2,3,3 → bursts of 3, 1, 2.
-	for _, c := range []uint64{1, 1, 1, 2, 3, 3} {
-		tr.OnRetire(cpu.RetireEvent{Cycle: c})
-	}
-	h := tr.BurstHistogram()
-	if h[3] != 1 || h[1] != 1 || h[2] != 1 {
-		t.Errorf("histogram = %v", h)
-	}
-	if len(New(4, nil).BurstHistogram()) != 0 {
-		t.Error("empty tracer histogram not empty")
-	}
-}

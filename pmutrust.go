@@ -64,10 +64,10 @@
 //
 // # Distributed sweeps
 //
-// The store sits behind the results.Store interface with two backends:
-// a single append-only JSONL file, and a sharded directory of
-// single-writer files merged and deduplicated on read. The latter backs
-// the distributed sweep service (internal/sweepd): `pmubench -serve`
+// The store sits behind the results.Store interface. One store type
+// reads either a single append-only JSONL file or a sharded directory
+// of single-writer files, merged and deduplicated on read. The directory
+// form backs the distributed sweep service (internal/sweepd): `pmubench -serve`
 // partitions a matrix experiment's cell grid into shards leased through
 // expiring lease files under a shared sweep directory, N `pmubench
 // -worker` processes (local or on any host sharing the filesystem)
@@ -363,10 +363,9 @@ func Collect(prog *Program, mach Machine, m Method, opt Options) (*Run, error) {
 // every tenant with method m. Runs come back in tenant order, each with
 // its own sample stream and Run.Sched noise accounting. Tenants given the
 // same *Program share one simulated execution, which costs one engine run
-// instead of one per tenant and changes no result. Set
-// opt.Tenants to len(progs) (or leave 0 to let it default) and
-// opt.SchedTimesliceCycles/SchedSwitchCostCycles to override the
-// scheduling period and per-machine switch cost.
+// instead of one per tenant and changes no result. The tenant count is
+// len(progs); set opt.SchedTimesliceCycles/SchedSwitchCostCycles to
+// override the scheduling period and per-machine switch cost.
 func CollectTenants(progs []*Program, mach Machine, m Method, opt SchedOptions) ([]*Run, error) {
 	return sched.Collect(progs, mach, m, opt)
 }
