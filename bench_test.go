@@ -1,12 +1,11 @@
-// Benchmark harness: one benchmark per paper table/figure (the regenerable
-// artifacts of DESIGN.md's experiment index) plus micro-benchmarks for the
+// Benchmark harness: one benchmark per paper table/figure (entries of the
+// experiment table, experiments.Registry) plus micro-benchmarks for the
 // substrates. Accuracy errors are attached to benchmark output as custom
 // metrics ("err") so `go test -bench` output doubles as a results table.
 //
 // Absolute numbers are not expected to match the paper (the substrate is a
 // simulator, not the authors' testbed); the shapes — who wins, by what
-// rough factor — are asserted by the test suite and recorded in
-// EXPERIMENTS.md.
+// rough factor — are asserted by the test suite (DESIGN.md §4 and §5).
 package pmutrust_test
 
 import (
@@ -104,7 +103,7 @@ func BenchmarkSideIPFix(b *testing.B) {
 	r := experiments.NewRunner(benchScale(), 42)
 	var factor float64
 	for i := 0; i < b.N; i++ {
-		res, err := r.RunIPFix()
+		_, res, err := r.RunIPFix()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +115,7 @@ func BenchmarkSideIPFix(b *testing.B) {
 func BenchmarkSideRanking(b *testing.B) {
 	r := experiments.NewRunner(benchScale(), 42)
 	for i := 0; i < b.N; i++ {
-		if _, err := r.RunRanking(); err != nil {
+		if _, _, err := r.RunRanking(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,8 +22,11 @@
 //	         [-engine fast|interp|both] [-log-json]
 //
 // Every experiment prints a table whose rows/columns mirror the paper's
-// presentation; see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded paper-vs-measured comparisons.
+// presentation. Each name above is one entry of the experiment table,
+// experiments.Registry (internal/experiments/registry.go), which pmubench
+// looks the -experiment value up in; "all" runs every entry but mux and
+// spec, in table order. DESIGN.md records the scaling, the application
+// analogs, the findings and the ablations behind them.
 //
 // Measurements dispatch through the parallel sweep layer of
 // internal/experiments: -parallel bounds the worker pool (default
@@ -134,53 +137,11 @@ import (
 
 	"pmutrust/internal/experiments"
 	"pmutrust/internal/pmu"
-	"pmutrust/internal/report"
 	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/sweepd"
 	"pmutrust/internal/telemetry"
-	"pmutrust/internal/workloads"
 )
-
-// experimentList is the registry of every dispatchable -experiment
-// name, in the order "-experiment all" runs them (table3 first: it is
-// analytic, so a broken build fails before any sweep starts). The run
-// dispatch switch and the usage comment's experiment list must both
-// match it exactly — TestExperimentRegistryConsistent pins all three
-// against each other.
-var experimentList = []string{
-	"table3", "table1", "table2", "factors", "ipfix", "ranking",
-	"ablate-skid", "ablate-period", "ablate-lbr", "ablate-burst", "ablate-rand",
-	"overhead", "freq", "lbr-contention", "stability", "future-hw",
-	"mux-events", "mux-timeslice", "mux-policy", "mux",
-	"tenants", "tenants-timeslice", "phased", "spec",
-}
-
-// flagOnlyExperiments are dispatchable by name but excluded from "all"
-// because they are meaningless without an extra flag ("mux" needs
-// -events, "spec" needs -spec).
-var flagOnlyExperiments = map[string]bool{"mux": true, "spec": true}
-
-// allExperiments returns what "-experiment all" runs: the registry
-// minus the flag-dependent entries, in registry order.
-func allExperiments() []string {
-	var names []string
-	for _, n := range experimentList {
-		if !flagOnlyExperiments[n] {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
-// unknownExperimentErr is the error for an unrecognized -experiment
-// value. It lists every dispatchable name so a typo answers itself
-// instead of sending the user to the docs
-// (TestUnknownExperimentErrorListsRegistry pins the list).
-func unknownExperimentErr(name string) error {
-	return fmt.Errorf("unknown experiment %q (valid: %s, all)",
-		name, strings.Join(experimentList, ", "))
-}
 
 // jsonResult is one experiment's machine-readable record.
 type jsonResult struct {
@@ -188,15 +149,9 @@ type jsonResult struct {
 	Scale      string `json:"scale"`
 	Seed       uint64 `json:"seed"`
 	Parallel   int    `json:"parallel"`
-	// Measurements holds per-cell results for the matrix experiments
-	// (table1, table2); experiments that only render a table omit it.
-	Measurements []experiments.Measurement `json:"measurements,omitempty"`
-	// MuxMeasurements holds per-cell results for the counter-multiplexing
-	// experiments (mux-events, mux-timeslice, mux-policy, mux).
-	MuxMeasurements []experiments.MuxMeasurement `json:"mux_measurements,omitempty"`
-	// TenantMeasurements holds per-cell results for the multi-tenant
-	// scheduling experiments (tenants, tenants-timeslice).
-	TenantMeasurements []experiments.TenantMeasurement `json:"tenant_measurements,omitempty"`
+	// Output contributes the per-cell results of the grid experiments;
+	// experiments that only render a table omit them.
+	experiments.Output
 	// Table is the rendered table, for humans reading the artifact.
 	Table string `json:"table"`
 }
@@ -457,249 +412,44 @@ func main() {
 			func() (any, bool) { return nil, false })
 	}
 
+	name := *experiment
+	if *specFile != "" {
+		// A user-authored spec is its own experiment: measure its matrix
+		// and nothing else.
+		name = "spec"
+	}
+	in := experiments.Inputs{
+		Events: muxEvents, Timeslice: *timeslice, Policy: policy,
+		Tenants: tenantCounts, SwitchCost: *switchCost, Spec: *specFile,
+	}
 	jsonResults := []jsonResult{}
-	emitFull := func(name string, t *report.Table, ms []experiments.Measurement, mux []experiments.MuxMeasurement) {
+	exps, err := experiments.Select(name)
+	for _, e := range exps {
+		var out experiments.Output
+		if out, err = e.Run(r, in); err != nil {
+			name = e.Name
+			break
+		}
 		// stdout carries at most one document: "-json -" or "-telemetry -"
 		// suppress the human tables.
 		if *jsonPath != "-" && *teleFile != "-" {
 			if *markdown {
-				fmt.Println(t.Markdown())
+				fmt.Println(out.Table.Markdown())
 			} else {
-				fmt.Println(t.String())
+				fmt.Println(out.Table.String())
 			}
 		}
 		if *jsonPath != "" {
 			jsonResults = append(jsonResults, jsonResult{
-				Experiment:      name,
-				Scale:           scale.Name,
-				Seed:            *seed,
-				Parallel:        *parallel,
-				Measurements:    ms,
-				MuxMeasurements: mux,
-				Table:           t.String(),
+				Experiment: e.Name, Scale: scale.Name, Seed: *seed, Parallel: *parallel,
+				Output: out, Table: out.Table.String(),
 			})
 		}
 	}
-	emit := func(name string, t *report.Table, ms []experiments.Measurement) {
-		emitFull(name, t, ms, nil)
-	}
-	emitMux := func(name string, t *report.Table, ms []experiments.MuxMeasurement) {
-		emitFull(name, t, nil, ms)
-	}
-	emitTenants := func(name string, t *report.Table, ms []experiments.TenantMeasurement) {
-		emitFull(name, t, nil, nil)
-		if *jsonPath != "" {
-			jsonResults[len(jsonResults)-1].TenantMeasurements = ms
-		}
-	}
-
-	// Tables 1 and 2 are cached across experiments so "-experiment all"
-	// computes each matrix once (factors reuses them).
-	var t1res, t2res *experiments.TableResult
-	table1 := func() (*experiments.TableResult, error) {
-		if t1res == nil {
-			tr, err := r.RunTable1()
-			if err != nil {
-				return nil, err
-			}
-			t1res = tr
-		}
-		return t1res, nil
-	}
-	table2 := func() (*experiments.TableResult, error) {
-		if t2res == nil {
-			tr, err := r.RunTable2()
-			if err != nil {
-				return nil, err
-			}
-			t2res = tr
-		}
-		return t2res, nil
-	}
-
-	run := func(name string) error {
-		switch name {
-		case "table1":
-			tr, err := table1()
-			if err != nil {
-				return err
-			}
-			emit(name, tr.Table, tr.Measurements)
-		case "table2":
-			tr, err := table2()
-			if err != nil {
-				return err
-			}
-			emit(name, tr.Table, tr.Measurements)
-		case "table3":
-			emit(name, experiments.RunTable3(), nil)
-		case "factors":
-			t1, err := table1()
-			if err != nil {
-				return err
-			}
-			t2, err := table2()
-			if err != nil {
-				return err
-			}
-			emit(name, r.RunFactors(t1, t2).Table, nil)
-		case "ipfix":
-			res, err := r.RunIPFix()
-			if err != nil {
-				return err
-			}
-			emit(name, res.Table, nil)
-		case "ranking":
-			res, err := r.RunRanking()
-			if err != nil {
-				return err
-			}
-			emit(name, res.Table, nil)
-		case "ablate-skid":
-			t, _, err := r.AblateSkid()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
-		case "ablate-period":
-			t, _, err := r.AblatePeriod()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
-		case "ablate-lbr":
-			t, _, err := r.AblateLBRDepth()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
-		case "ablate-burst":
-			t, _, err := r.AblateBurst()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
-		case "ablate-rand":
-			t, _, err := r.AblateRandAmp()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
-		case "overhead":
-			t, _, err := r.RunOverhead()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
-		case "freq":
-			res, err := r.RunFreqVsFixed()
-			if err != nil {
-				return err
-			}
-			emit(name, res.Table, nil)
-		case "lbr-contention":
-			t, _, err := r.RunLBRContention()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
-		case "stability":
-			res, err := r.RunStability(5)
-			if err != nil {
-				return err
-			}
-			emit(name, res.Table, nil)
-		case "future-hw":
-			res, err := r.RunFutureHW()
-			if err != nil {
-				return err
-			}
-			emit(name, res.Table, nil)
-		case "mux-events":
-			t, ms, err := r.RunMuxEvents()
-			if err != nil {
-				return err
-			}
-			emitMux(name, t, ms)
-		case "mux-timeslice":
-			t, ms, err := r.RunMuxTimeslice()
-			if err != nil {
-				return err
-			}
-			emitMux(name, t, ms)
-		case "mux-policy":
-			t, ms, err := r.RunMuxPolicy()
-			if err != nil {
-				return err
-			}
-			emitMux(name, t, ms)
-		case "mux":
-			if len(muxEvents) == 0 {
-				return fmt.Errorf("-experiment mux needs -events (e.g. -events inst_retired,load,br_taken)")
-			}
-			t, ms, err := r.RunMuxCustom(muxEvents, *timeslice, policy)
-			if err != nil {
-				return err
-			}
-			emitMux(name, t, ms)
-		case "tenants":
-			t, ms, err := r.RunTenants(tenantCounts, *switchCost)
-			if err != nil {
-				return err
-			}
-			emitTenants(name, t, ms)
-		case "tenants-timeslice":
-			t, ms, err := r.RunTenantsTimeslice(*switchCost)
-			if err != nil {
-				return err
-			}
-			emitTenants(name, t, ms)
-		case "phased":
-			tr, err := r.RunPhased()
-			if err != nil {
-				return err
-			}
-			emit(name, tr.Table, tr.Measurements)
-		case "spec":
-			if *specFile == "" {
-				return fmt.Errorf("-experiment spec needs -spec FILE")
-			}
-			s, err := workloads.LoadPhasedSpec(*specFile)
-			if err != nil {
-				return err
-			}
-			ws, err := s.WorkloadSpec()
-			if err != nil {
-				return err
-			}
-			tr, err := r.RunWorkloads(
-				fmt.Sprintf("Spec %s (%s): sampling-method accuracy errors (lower is better)", s.Name, s.Fingerprint()),
-				[]workloads.Spec{ws})
-			if err != nil {
-				return err
-			}
-			emit(name, tr.Table, tr.Measurements)
-		default:
-			return unknownExperimentErr(name)
-		}
-		return nil
-	}
-
-	names := []string{*experiment}
-	if *specFile != "" {
-		// A user-authored spec is its own experiment: measure its matrix
-		// and nothing else.
-		names = []string{"spec"}
-	} else if *experiment == "all" {
-		names = allExperiments()
-	}
 	exitCode := 0
-	for _, name := range names {
-		if err := run(name); err != nil {
-			logger.Error("experiment failed", "experiment", name, "run_id", runID, "err", err)
-			exitCode = 1
-			break
-		}
+	if err != nil {
+		logger.Error("experiment failed", "experiment", name, "run_id", runID, "err", err)
+		exitCode = 1
 	}
 
 	// The JSON document is written even after a mid-run failure, so a

@@ -3,7 +3,6 @@ package main
 import (
 	"os"
 	"reflect"
-	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -12,9 +11,8 @@ import (
 )
 
 // readMainSource loads this package's main.go for the source-level pins
-// below. The registry drift these tests guard against lives in prose
-// (the usage comment) and syntax (the dispatch switch), neither of
-// which the compiler cross-checks.
+// below: the usage comment is prose, which the compiler does not
+// cross-check against the experiment table.
 func readMainSource(t *testing.T) string {
 	t.Helper()
 	src, err := os.ReadFile("main.go")
@@ -47,92 +45,93 @@ func usageExperiments(t *testing.T, src string, n int) []string {
 	return strings.Split(clause, "|")
 }
 
-// TestExperimentRegistryConsistent pins the three places an experiment
-// name must appear — the usage comment, experimentList, and the run
-// dispatch switch — against each other, so adding an experiment to one
-// and forgetting the others fails here instead of shipping a flag the
-// docs deny or documenting a flag the switch rejects.
+// registryNames returns the experiment table's names in table order.
+func registryNames() []string {
+	var names []string
+	for _, e := range experiments.Registry() {
+		names = append(names, e.Name)
+	}
+	return names
+}
+
+// TestExperimentRegistryConsistent pins the usage comment's experiment
+// list to the experiment table, so adding an experiment without
+// documenting it (or documenting one the table lacks) fails here, and
+// pins "all" to every entry except the flag-dependent mux and spec, in
+// table order.
 func TestExperimentRegistryConsistent(t *testing.T) {
 	src := readMainSource(t)
 
-	// Usage comment (first clause) = registry + the "all" meta-name.
+	// Usage comment (first clause) = table + the "all" meta-name.
 	usage := usageExperiments(t, src, 0)
-	wantUsage := append(append([]string{}, experimentList...), "all")
+	wantUsage := append(registryNames(), "all")
 	sort.Strings(usage)
 	sort.Strings(wantUsage)
 	if !reflect.DeepEqual(usage, wantUsage) {
-		t.Errorf("usage comment experiments = %v\nregistry + all          = %v", usage, wantUsage)
+		t.Errorf("usage comment experiments = %v\ntable + all             = %v", usage, wantUsage)
 	}
 
-	// Dispatch switch = registry. The run switch is the only one nested
-	// two levels deep in this file, so the indented case labels identify
-	// it unambiguously.
-	var cases []string
-	for _, m := range regexp.MustCompile(`(?m)^\t\tcase "([a-z0-9-]+)":`).FindAllStringSubmatch(src, -1) {
-		cases = append(cases, m[1])
-	}
-	reg := append([]string{}, experimentList...)
-	sort.Strings(cases)
-	sort.Strings(reg)
-	if !reflect.DeepEqual(cases, reg) {
-		t.Errorf("dispatch switch cases = %v\nregistry              = %v", cases, reg)
-	}
-
-	// "all" = registry minus the flag-dependent names, order preserved.
-	all := allExperiments()
-	seen := map[string]bool{}
-	for _, n := range all {
-		if flagOnlyExperiments[n] {
-			t.Errorf("flag-dependent experiment %q in the all list", n)
+	var wantAll []string
+	for _, n := range registryNames() {
+		if n != "mux" && n != "spec" {
+			wantAll = append(wantAll, n)
 		}
-		seen[n] = true
 	}
-	for _, n := range experimentList {
-		if !flagOnlyExperiments[n] && !seen[n] {
-			t.Errorf("registered experiment %q missing from the all list", n)
-		}
+	sel, err := experiments.Select("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []string
+	for _, e := range sel {
+		all = append(all, e.Name)
+	}
+	if !reflect.DeepEqual(all, wantAll) {
+		t.Errorf("all runs %v\nwant         %v", all, wantAll)
 	}
 }
 
 // TestUnknownExperimentErrorListsRegistry pins -experiment
-// discoverability: a typo'd name must come back with every dispatchable
-// name (and the "all" meta-name) in the message, so the error answers
-// itself.
+// discoverability: a typo'd name must come back with every table name
+// (and the "all" meta-name) in the message, so the error answers itself.
 func TestUnknownExperimentErrorListsRegistry(t *testing.T) {
-	msg := unknownExperimentErr("tabel1").Error()
+	_, err := experiments.Select("tabel1")
+	if err == nil {
+		t.Fatal("Select accepted an unknown name")
+	}
+	msg := err.Error()
 	if !strings.Contains(msg, `"tabel1"`) {
 		t.Errorf("error does not echo the bad name: %s", msg)
 	}
-	for _, name := range append(append([]string{}, experimentList...), "all") {
+	for _, name := range append(registryNames(), "all") {
 		if !strings.Contains(msg, name) {
 			t.Errorf("unknown-experiment error omits %q:\n%s", name, msg)
 		}
 	}
 }
 
-// TestServeUsageMatchesGrids pins the -serve usage clause to the set of
-// matrix experiments GridByName actually accepts.
+// TestServeUsageMatchesGrids pins the -serve usage clause to the
+// shardable matrices of the experiment table (the entries with Rows),
+// and GridByName to accepting exactly those.
 func TestServeUsageMatchesGrids(t *testing.T) {
-	src := readMainSource(t)
-	serve := usageExperiments(t, src, 1)
-	for _, name := range serve {
-		if _, err := experiments.GridByName(name); err != nil {
-			t.Errorf("-serve usage advertises %q but GridByName rejects it: %v", name, err)
-		}
-	}
-	for _, name := range experimentList {
-		if _, err := experiments.GridByName(name); err != nil {
+	serve := usageExperiments(t, readMainSource(t), 1)
+	var matrices []string
+	for _, e := range experiments.Registry() {
+		_, err := experiments.GridByName(e.Name)
+		if e.Rows == nil {
+			if err == nil {
+				t.Errorf("GridByName accepts %q, which has no rows", e.Name)
+			}
 			continue
 		}
-		found := false
-		for _, s := range serve {
-			if s == name {
-				found = true
-			}
+		if err != nil {
+			t.Errorf("GridByName rejects matrix %q: %v", e.Name, err)
 		}
-		if !found {
-			t.Errorf("GridByName accepts %q but the -serve usage clause omits it", name)
-		}
+		matrices = append(matrices, e.Name)
+	}
+	sort.Strings(serve)
+	sort.Strings(matrices)
+	if !reflect.DeepEqual(serve, matrices) {
+		t.Errorf("-serve usage advertises %v\ntable matrices are     %v", serve, matrices)
 	}
 }
 

@@ -3,9 +3,9 @@
 // paper's experiments, and renders result tables with the same structure
 // as the originals.
 //
-// Every table and figure of the paper maps to one Run* function here (see
-// the per-experiment index in DESIGN.md); cmd/pmubench and bench_test.go
-// are thin callers.
+// Every table and figure of the paper maps to one Run* function here, and
+// the experiment table (Registry, registry.go) lists each under its
+// pmubench name; cmd/pmubench and bench_test.go are thin callers.
 package experiments
 
 import (

@@ -9,7 +9,6 @@ import (
 
 // FreqResult pairs fixed-period and frequency-mode errors per workload.
 type FreqResult struct {
-	Table *report.Table
 	// FixedErr and FreqErr are keyed by workload name.
 	FixedErr, FreqErr map[string]float64
 }
@@ -19,18 +18,17 @@ type FreqResult struct {
 // period, on the kernels. Frequency mode makes sampling time-uniform —
 // the resulting profile weights blocks by cycles rather than instruction
 // counts, so workloads with CPI asymmetry (LatencyBiased) suffer most.
-func (r *Runner) RunFreqVsFixed() (*FreqResult, error) {
+func (r *Runner) RunFreqVsFixed() (*report.Table, *FreqResult, error) {
 	mach := machine.IvyBridge()
 	fixed, err := sampling.MethodByKey("classic")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	freq := sampling.FreqMode()
 
 	t := report.New("A7: fixed-period classic vs perf frequency mode (IvyBridge)",
 		"workload", "fixed err", "freq err")
 	res := &FreqResult{
-		Table:    t,
 		FixedErr: make(map[string]float64),
 		FreqErr:  make(map[string]float64),
 	}
@@ -43,7 +41,7 @@ func (r *Runner) RunFreqVsFixed() (*FreqResult, error) {
 		Methods:   []sampling.Method{fixed, freq},
 	}, r.opts())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, spec := range kernels {
 		mf, mq := ms[flatIdx(i, 0, 2)], ms[flatIdx(i, 1, 2)]
@@ -52,5 +50,5 @@ func (r *Runner) RunFreqVsFixed() (*FreqResult, error) {
 		t.AddRow(spec.Name, report.Fmt(mf.Err), report.Fmt(mq.Err))
 	}
 	t.Note = "Frequency mode trades period-choice pitfalls (resonance) for time-uniform sampling; neither approaches the precise/LBR methods."
-	return res, nil
+	return t, res, nil
 }

@@ -78,11 +78,11 @@ func TestRunFreqVsFixed(t *testing.T) {
 		t.Skip("runs the kernel set twice")
 	}
 	r := NewRunner(SmallScale(), 7)
-	res, err := r.RunFreqVsFixed()
+	tbl, res, err := r.RunFreqVsFixed()
 	if err != nil {
 		t.Fatalf("RunFreqVsFixed: %v", err)
 	}
-	t.Logf("\n%s", res.Table.String())
+	t.Logf("\n%s", tbl.String())
 	for _, k := range []string{"LatencyBiased", "CallChain", "G4Box", "Test40"} {
 		if res.FixedErr[k] <= 0 || res.FreqErr[k] <= 0 {
 			t.Errorf("%s: missing cells", k)

@@ -14,7 +14,6 @@ import (
 // hypothetical FutureGen machine implementing §6.2's hardware exact-IP
 // recommendation, with and without a competing LBR consumer.
 type FutureHWResult struct {
-	Table *report.Table
 	// IvyClean/FutureClean map workload → error with exclusive LBR.
 	IvyClean, FutureClean map[string]float64
 	// IvyContended/FutureContended are the same under 50% call-stack-mode
@@ -27,10 +26,10 @@ type FutureHWResult struct {
 // immune to LBR collisions with call-stack profiling — and saves the MSR
 // reads. Errors are measured for the pdir+ipfix method on both machines,
 // clean and under 50% LBR contention.
-func (r *Runner) RunFutureHW() (*FutureHWResult, error) {
+func (r *Runner) RunFutureHW() (*report.Table, *FutureHWResult, error) {
 	m, err := sampling.MethodByKey("pdir+ipfix")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	machines := []machine.Machine{machine.IvyBridge(), machine.FutureGen()}
 
@@ -64,7 +63,7 @@ func (r *Runner) RunFutureHW() (*FutureHWResult, error) {
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for k, spec := range kernels {
 		// Dispatch on machine name and contention value, not slice
@@ -93,6 +92,5 @@ func (r *Runner) RunFutureHW() (*FutureHWResult, error) {
 			"Per-sample cost: IVB %d cycles (PMI+LBR top read) vs FutureGen %d (PMI only).",
 		machine.IvyBridge().PMICostCycles+machine.IvyBridge().LBRReadCostCycles,
 		machine.FutureGen().PMICostCycles)
-	res.Table = t
-	return res, nil
+	return t, res, nil
 }

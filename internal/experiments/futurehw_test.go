@@ -12,11 +12,11 @@ func TestRunFutureHW(t *testing.T) {
 		t.Skip("runs the kernel set four ways")
 	}
 	r := NewRunner(SmallScale(), 13)
-	res, err := r.RunFutureHW()
+	tbl, res, err := r.RunFutureHW()
 	if err != nil {
 		t.Fatalf("RunFutureHW: %v", err)
 	}
-	t.Logf("\n%s", res.Table.String())
+	t.Logf("\n%s", tbl.String())
 	for _, k := range []string{"LatencyBiased", "CallChain", "G4Box", "Test40"} {
 		// Clean: the hardware fix must be at least as good as the
 		// software LBR-top fix (both are near-exact; allow 20% noise).

@@ -11,24 +11,22 @@ package experiments
 import (
 	"fmt"
 
-	"pmutrust/internal/machine"
-	"pmutrust/internal/sampling"
 	"pmutrust/internal/workloads"
 )
 
-// RunPhased measures the registered phased family (workloads.PhasedFamily:
-// the hand-built PhaseShift plus the built-in generated specs) across all
-// machines and sampling methods. Store-aware like every matrix: with a
-// results store attached, measured cells persist and reruns resume.
-func (r *Runner) RunPhased() (*TableResult, error) {
-	tr, err := r.runMatrix(
-		"Table 9: sampling-method accuracy errors on phased/bursty workloads (lower is better)",
-		workloads.PhasedFamily(), machine.All(), sampling.Registry())
-	if err == nil {
-		tr.Table.Note = "Phased family: PhaseShift (hand-built) + spec-generated alternate/burst/ramp schedules (docs/WORKLOADS.md); no paper counterpart — extends the accuracy matrix to non-stationary mixes."
-	}
-	return tr, err
+// phasedMatrix is the phased table: the registered phased family
+// (workloads.PhasedFamily: the hand-built PhaseShift plus the built-in
+// generated specs) across all machines and sampling methods.
+var phasedMatrix = accuracyMatrix{
+	title: "Table 9: sampling-method accuracy errors on phased/bursty workloads (lower is better)",
+	note:  "Phased family: PhaseShift (hand-built) + spec-generated alternate/burst/ramp schedules (docs/WORKLOADS.md); no paper counterpart — extends the accuracy matrix to non-stationary mixes.",
+	rows:  workloads.PhasedFamily,
 }
+
+// RunPhased measures the phased table. Store-aware like every matrix:
+// with a results store attached, measured cells persist and reruns
+// resume.
+func (r *Runner) RunPhased() (*TableResult, error) { return r.runMatrix(phasedMatrix) }
 
 // RunWorkloads measures an ad-hoc workload list through the standard
 // matrix — the backend of `pmubench -spec`, which turns a user's spec
@@ -38,5 +36,5 @@ func (r *Runner) RunWorkloads(title string, specs []workloads.Spec) (*TableResul
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("experiments: no workloads to measure")
 	}
-	return r.runMatrix(title, specs, machine.All(), sampling.Registry())
+	return r.runMatrix(accuracyMatrix{title: title, rows: func() []workloads.Spec { return specs }})
 }

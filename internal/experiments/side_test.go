@@ -10,11 +10,11 @@ func TestIPFixSideExperiment(t *testing.T) {
 		t.Skip("takes seconds")
 	}
 	r := NewRunner(SmallScale(), 42)
-	res, err := r.RunIPFix()
+	tbl, res, err := r.RunIPFix()
 	if err != nil {
 		t.Fatalf("RunIPFix: %v", err)
 	}
-	t.Logf("\n%s", res.Table.String())
+	t.Logf("\n%s", tbl.String())
 	if res.Factor < 2 {
 		t.Errorf("IP-fix improvement %.1fx below 2x (paper: ~5x)", res.Factor)
 	}
@@ -30,17 +30,17 @@ func TestRankingSideExperiment(t *testing.T) {
 		t.Skip("takes tens of seconds")
 	}
 	r := NewRunner(SmallScale(), 42)
-	res, err := r.RunRanking()
+	tbl, res, err := r.RunRanking()
 	if err != nil {
 		t.Fatalf("RunRanking: %v", err)
 	}
-	t.Logf("\n%s", res.Table.String())
+	t.Logf("\n%s", tbl.String())
 	for method, exact := range res.ExactByMethod {
 		if exact {
 			t.Errorf("method %s reproduced the exact top-10 order (paper: none does)", method)
 		}
 	}
-	if len(res.Table.Rows) == 0 {
+	if len(tbl.Rows) == 0 {
 		t.Error("no ranking rows")
 	}
 }

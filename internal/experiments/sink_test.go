@@ -24,7 +24,7 @@ func TestEveryExperimentReachesSink(t *testing.T) {
 		{"overhead", func(r *Runner) (int, error) { _, s, err := r.RunOverhead(); return total(s), err }},
 		{"lbr-contention", func(r *Runner) (int, error) { _, s, err := r.RunLBRContention(); return len(s), err }},
 		{"future-hw", func(r *Runner) (int, error) {
-			res, err := r.RunFutureHW()
+			_, res, err := r.RunFutureHW()
 			if err != nil {
 				return 0, err
 			}

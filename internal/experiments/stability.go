@@ -14,7 +14,6 @@ import (
 // per method: the measurement-protocol question behind the paper's
 // "each of our kernels ... is measured five times" (§4.1).
 type StabilityResult struct {
-	Table *report.Table
 	// Spread maps method key to (stddev / mean) of the error across
 	// seeds. Deterministic methods on deterministic workloads have zero
 	// spread; randomized ones must stay tight for the paper's protocol
@@ -22,21 +21,20 @@ type StabilityResult struct {
 	Spread map[string]float64
 }
 
-// RunStability measures every method on one kernel with n different
-// seeds and reports mean, stddev and relative spread.
-func (r *Runner) RunStability(n int) (*StabilityResult, error) {
-	if n <= 1 {
-		n = 5 // the paper's repeat count
-	}
+// RunStability measures every method on one kernel with five different
+// seeds (the paper's repeat count) and reports mean, stddev and relative
+// spread.
+func (r *Runner) RunStability() (*report.Table, *StabilityResult, error) {
+	const n = 5
 	spec, err := workloads.ByName("G4Box")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mach := machine.IvyBridge()
 
 	t := report.New(fmt.Sprintf("Measurement stability over %d seeds (G4Box, IvyBridge)", n),
 		"method", "mean err", "stddev", "rel spread")
-	res := &StabilityResult{Table: t, Spread: make(map[string]float64)}
+	res := &StabilityResult{Spread: make(map[string]float64)}
 	var supported []sampling.Method
 	for _, m := range sampling.Registry() {
 		if _, ok := sampling.Resolve(m, mach); ok {
@@ -54,7 +52,7 @@ func (r *Runner) RunStability(n int) (*StabilityResult, error) {
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for mi, m := range supported {
 		var s stats.Summary
@@ -70,5 +68,5 @@ func (r *Runner) RunStability(n int) (*StabilityResult, error) {
 			fmt.Sprintf("%.1f%%", 100*rel))
 	}
 	t.Note = "The paper measures each kernel five times; spreads stay in single-digit percents, so mean errors are meaningful."
-	return res, nil
+	return t, res, nil
 }

@@ -7,11 +7,11 @@ func TestRunStability(t *testing.T) {
 		t.Skip("repeated measurements take seconds")
 	}
 	r := NewRunner(SmallScale(), 11)
-	res, err := r.RunStability(5)
+	tbl, res, err := r.RunStability()
 	if err != nil {
 		t.Fatalf("RunStability: %v", err)
 	}
-	t.Logf("\n%s", res.Table.String())
+	t.Logf("\n%s", tbl.String())
 	if len(res.Spread) != 7 {
 		t.Fatalf("methods measured = %d", len(res.Spread))
 	}

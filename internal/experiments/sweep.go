@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"pmutrust/internal/machine"
@@ -45,21 +46,23 @@ func (g Grid) Cells() []Cell {
 // Size returns the number of cells in the grid.
 func (g Grid) Size() int { return len(g.Workloads) * len(g.Machines) * len(g.Methods) }
 
-// GridByName returns the cell grid of a named matrix experiment — the
-// exact cells RunTable1, RunTable2 and RunPhased sweep. The distributed
-// sweep planner (internal/sweepd) partitions these grids, so the mapping
-// from experiment name to cell set must stay identical between the
-// single-process and sharded paths.
+// GridByName returns the cell grid of a matrix experiment of the
+// experiment table (an entry with Rows) — the exact cells its run
+// sweeps. The distributed sweep planner (internal/sweepd) partitions
+// these grids, so the mapping from experiment name to cell set must stay
+// identical between the single-process and sharded paths.
 func GridByName(name string) (Grid, error) {
-	switch name {
-	case "table1":
-		return Grid{Workloads: workloads.Kernels(), Machines: machine.All(), Methods: sampling.Registry()}, nil
-	case "table2":
-		return Grid{Workloads: workloads.Apps(), Machines: machine.All(), Methods: sampling.Registry()}, nil
-	case "phased":
-		return Grid{Workloads: workloads.PhasedFamily(), Machines: machine.All(), Methods: sampling.Registry()}, nil
+	var matrices []string
+	for _, e := range Registry() {
+		if e.Rows == nil {
+			continue
+		}
+		if e.Name == name {
+			return matrixGrid(e.Rows()), nil
+		}
+		matrices = append(matrices, e.Name)
 	}
-	return Grid{}, fmt.Errorf("experiments: no cell grid for experiment %q (matrix experiments: table1, table2, phased)", name)
+	return Grid{}, fmt.Errorf("experiments: no cell grid for experiment %q (matrix experiments: %s)", name, strings.Join(matrices, ", "))
 }
 
 // SweepOptions bounds a sweep's parallelism and wall-clock time. The

@@ -38,34 +38,64 @@ func (tr *TableResult) Get(workload, mach, method string) float64 {
 	return -1
 }
 
-// runMatrix measures every (workload, machine, method) combination
-// through the parallel sweep layer — store-aware when the Runner has a
-// results store attached — and renders one row per workload × machine,
-// one column per method: the layout of the paper's Tables 1 and 2.
-// Rendering walks the measurements in canonical grid order, so the table
-// is identical at any worker count and whether cells were measured or
-// served from the store.
-func (r *Runner) runMatrix(title string, specs []workloads.Spec, machines []machine.Machine, methods []sampling.Method) (*TableResult, error) {
-	g := Grid{Workloads: specs, Machines: machines, Methods: methods}
+// accuracyMatrix is one workload × machine × method accuracy table:
+// Tables 1 and 2, the phased table, or a -spec file's matrix. Its rows
+// are the only thing that differs between them; matrixGrid crosses the
+// rows with every machine and method.
+type accuracyMatrix struct {
+	title, note string
+	rows        func() []workloads.Spec
+}
+
+var (
+	table1Matrix = accuracyMatrix{
+		title: "Table 1: sampling-method accuracy errors on kernels (lower is better)",
+		note:  "\"-\" = method unsupported on machine (no LBR/PEBS on Magny-Cours, no PDIR on Westmere: lowered or skipped per §4.2).",
+		rows:  workloads.Kernels,
+	}
+	table2Matrix = accuracyMatrix{
+		title: "Table 2: errors per machine/application (lower is better)",
+		note:  "Applications: SPEC CPU2006 enterprise-proxy subset analogs + FullCMS analog (see DESIGN.md for the substitution).",
+		rows:  workloads.Apps,
+	}
+)
+
+// matrixGrid is the grid of every accuracy matrix: the workload rows ×
+// every machine × every sampling method. runMatrix and GridByName both
+// build their grids here, so a single-process run and a sharded sweep
+// cover the same cells.
+func matrixGrid(rows []workloads.Spec) Grid {
+	return Grid{Workloads: rows, Machines: machine.All(), Methods: sampling.Registry()}
+}
+
+// runMatrix measures every cell of mat's grid through the parallel sweep
+// layer — store-aware when the Runner has a results store attached — and
+// renders one row per workload × machine, one column per method: the
+// layout of the paper's Tables 1 and 2. Rendering walks the measurements
+// in canonical grid order, so the table is identical at any worker count
+// and whether cells were measured or served from the store.
+func (r *Runner) runMatrix(mat accuracyMatrix) (*TableResult, error) {
+	g := matrixGrid(mat.rows())
 	ms, _, err := runCells[Measurement](r, r.Store, r.opts(), g.Cells())
 	if err != nil {
 		return nil, err
 	}
 
 	headers := []string{"workload", "machine"}
-	for _, m := range methods {
+	for _, m := range g.Methods {
 		headers = append(headers, m.Key)
 	}
-	t := report.New(title, headers...)
+	t := report.New(mat.title, headers...)
+	t.Note = mat.note
 	tr := &TableResult{Table: t, Cells: make(map[string]map[string]map[string]float64), Measurements: ms}
 
 	i := 0
-	for _, spec := range specs {
+	for _, spec := range g.Workloads {
 		tr.Cells[spec.Name] = make(map[string]map[string]float64)
-		for _, mach := range machines {
+		for _, mach := range g.Machines {
 			tr.Cells[spec.Name][mach.Name] = make(map[string]float64)
 			row := []string{spec.Name, mach.Name}
-			for _, m := range methods {
+			for _, m := range g.Methods {
 				meas := ms[i]
 				i++
 				tr.Cells[spec.Name][mach.Name][m.Key] = meas.Err
@@ -79,26 +109,10 @@ func (r *Runner) runMatrix(title string, specs []workloads.Spec, machines []mach
 
 // RunTable1 reproduces Table 1: accuracy errors of all sampling methods on
 // the four designated kernels, per machine (lower is better).
-func (r *Runner) RunTable1() (*TableResult, error) {
-	tr, err := r.runMatrix(
-		"Table 1: sampling-method accuracy errors on kernels (lower is better)",
-		workloads.Kernels(), machine.All(), sampling.Registry())
-	if err == nil {
-		tr.Table.Note = "\"-\" = method unsupported on machine (no LBR/PEBS on Magny-Cours, no PDIR on Westmere: lowered or skipped per §4.2)."
-	}
-	return tr, err
-}
+func (r *Runner) RunTable1() (*TableResult, error) { return r.runMatrix(table1Matrix) }
 
 // RunTable2 reproduces Table 2: accuracy errors per machine/application.
-func (r *Runner) RunTable2() (*TableResult, error) {
-	tr, err := r.runMatrix(
-		"Table 2: errors per machine/application (lower is better)",
-		workloads.Apps(), machine.All(), sampling.Registry())
-	if err == nil {
-		tr.Table.Note = "Applications: SPEC CPU2006 enterprise-proxy subset analogs + FullCMS analog (see DESIGN.md for the substitution)."
-	}
-	return tr, err
-}
+func (r *Runner) RunTable2() (*TableResult, error) { return r.runMatrix(table2Matrix) }
 
 // RunTable3 renders the method taxonomy (the paper's appendix Table 3).
 // It is a documentation table: no measurement involved.
@@ -183,32 +197,31 @@ func (r *Runner) RunFactors(t1, t2 *TableResult) *FactorsResult {
 // distributed event with the LBR IP+1 offset correction (but not full LBR
 // profiles) improves ~5x over classic.
 type IPFixResult struct {
-	Table                        *report.Table
 	ClassicErr, FixedErr, Factor float64
 }
 
 // RunIPFix measures the FullCMS IP-fix side experiment on Ivy Bridge.
-func (r *Runner) RunIPFix() (*IPFixResult, error) {
+func (r *Runner) RunIPFix() (*report.Table, *IPFixResult, error) {
 	spec, err := workloads.ByName("FullCMS")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ivb := machine.IvyBridge()
 	classic, err := sampling.MethodByKey("classic")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fixed, err := sampling.MethodByKey("pdir+ipfix")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mc, err := r.Measure(spec, ivb, classic)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mf, err := r.Measure(spec, ivb, fixed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &IPFixResult{
 		ClassicErr: mc.Err,
@@ -220,14 +233,12 @@ func (r *Runner) RunIPFix() (*IPFixResult, error) {
 	t.AddRow("classic", report.Fmt(mc.Err), "1.0x")
 	t.AddRow("pdir+ipfix", report.Fmt(mf.Err), report.FmtFactor(res.Factor))
 	t.Note = "Paper reports ~5x average per-basic-block accuracy improvement for this combination."
-	res.Table = t
-	return res, nil
+	return t, res, nil
 }
 
 // RankingResult is the §5.2 ordering observation: no method reproduces the
 // FullCMS top-10 function ranking exactly.
 type RankingResult struct {
-	Table *report.Table
 	// ExactByMethod maps method key to whether the top-10 matched exactly
 	// on any machine that supports it.
 	ExactByMethod map[string]bool
@@ -235,21 +246,21 @@ type RankingResult struct {
 
 // RunRanking evaluates top-10 function-ranking agreement for FullCMS
 // across all methods and machines.
-func (r *Runner) RunRanking() (*RankingResult, error) {
+func (r *Runner) RunRanking() (*report.Table, *RankingResult, error) {
 	spec, err := workloads.ByName("FullCMS")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := r.Workload(spec)
 	reference, err := r.Reference(spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	refRank := analysis.RefFunctionRanking(reference)
 
 	t := report.New("FullCMS top-10 function ranking agreement (§5.2)",
 		"machine", "method", "exact order", "set overlap", "kendall tau")
-	res := &RankingResult{Table: t, ExactByMethod: make(map[string]bool)}
+	res := &RankingResult{ExactByMethod: make(map[string]bool)}
 
 	for _, mach := range machine.All() {
 		for _, m := range sampling.Registry() {
@@ -258,11 +269,11 @@ func (r *Runner) RunRanking() (*RankingResult, error) {
 			}
 			run, err := sampling.Collect(p, mach, m, r.collectOptions(r.Seed))
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			bp, _, err := lbr.Profile(p, run)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			ra := analysis.CompareRankings(bp.ToFunctions().Ranking(), refRank, 10)
 			exact := "no"
@@ -276,5 +287,5 @@ func (r *Runner) RunRanking() (*RankingResult, error) {
 		}
 	}
 	t.Note = "Paper: none of the methods produces the top 10 FullCMS functions in the right order."
-	return res, nil
+	return t, res, nil
 }

@@ -255,9 +255,13 @@ func (s *FileStore) scan(path string, r io.Reader) (good int64, err error) {
 				// risk gluing the next append onto it.
 				return off, nil
 			}
-			if err := s.merge(rec); err != nil {
-				return 0, err
+			// A line on disk need not be canonical (whitespace, field
+			// order), so the comparison column is re-encoded.
+			canon, err := json.Marshal(rec)
+			if err != nil {
+				return 0, fmt.Errorf("results: marshal record: %w", err)
 			}
+			s.merge(rec, canon)
 			off += int64(len(line))
 		}
 		if rerr == io.EOF {
@@ -267,18 +271,14 @@ func (s *FileStore) scan(path string, r io.Reader) (good int64, err error) {
 }
 
 // merge applies the duplicate rule (see FileStore) to a V-stamped, keyed
-// record. The caller must hold s.mu, or own s before it is shared.
-func (s *FileStore) merge(rec Record) error {
-	canon, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("results: marshal record: %w", err)
-	}
+// record whose canonical encoding is canon. The caller must hold s.mu,
+// or own s before it is shared.
+func (s *FileStore) merge(rec Record, canon []byte) {
 	if old, ok := s.enc[rec.Key]; ok && bytes.Compare(old, canon) <= 0 {
-		return nil
+		return
 	}
 	s.enc[rec.Key] = canon
 	s.recs[rec.Key] = rec
-	return nil
 }
 
 // Put stores rec (stamping V and, if empty, Key from the identity) and,
@@ -302,7 +302,9 @@ func (s *FileStore) Put(rec Record) error {
 			return fmt.Errorf("results: append record: %w", err)
 		}
 	}
-	return s.merge(rec)
+	// The line minus its newline is the canonical encoding.
+	s.merge(rec, line[:len(line)-1])
+	return nil
 }
 
 // Get returns the record stored under key.

@@ -24,8 +24,10 @@ package workloads
 // (internal/trace) to a report table.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -287,14 +289,19 @@ func (s PhasedSpec) Validate() error {
 }
 
 // ParsePhasedSpec decodes a JSON spec document. Decoding is strict —
-// an unknown field is an error, not a silent no-op — and the result is
-// validated.
+// an unknown field is an error, not a silent no-op, and so is anything
+// but whitespace after the spec object (a second, concatenated spec
+// would otherwise be silently dropped) — and the result is validated.
 func ParsePhasedSpec(data []byte) (PhasedSpec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s PhasedSpec
 	if err := dec.Decode(&s); err != nil {
 		return PhasedSpec{}, fmt.Errorf("workloads: parse spec: %w", err)
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return PhasedSpec{}, fmt.Errorf("workloads: parse spec: trailing data after the spec object (byte %d)", end)
 	}
 	if err := s.Validate(); err != nil {
 		return PhasedSpec{}, err

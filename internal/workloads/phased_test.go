@@ -2,7 +2,9 @@ package workloads
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,6 +87,61 @@ func TestParseStrict(t *testing.T) {
 	if _, err := LoadPhasedSpec("/nonexistent/spec.json"); err == nil {
 		t.Error("missing spec file accepted")
 	}
+}
+
+// TestParseRejectsTrailingData: a spec document is one object. Garbage,
+// stray closers or a second concatenated spec after it are errors, not
+// silently dropped; trailing whitespace is fine.
+func TestParseRejectsTrailingData(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/examples/phased-burst.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParsePhasedSpec(slices.Concat(doc, []byte(" \t\r\n"))); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{"garbage", "]]]", `{"v":2}`, "\n" + string(doc)} {
+		_, err := ParsePhasedSpec(slices.Concat(doc, []byte(tail)))
+		if err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("spec followed by %q: err = %v, want a trailing-data error", tail, err)
+		}
+	}
+}
+
+// FuzzParsePhasedSpec: any input either fails to parse, or parses to a
+// spec whose JSON encoding parses back to a spec with the same
+// fingerprint — the encoding a saved spec file holds. Nothing panics.
+// The seeds are the worked example and the built-in specs.
+func FuzzParsePhasedSpec(f *testing.F) {
+	doc, err := os.ReadFile("../../docs/examples/phased-burst.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doc)
+	for _, s := range builtinPhasedSpecs() {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParsePhasedSpec(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal a parsed spec: %v", err)
+		}
+		back, err := ParsePhasedSpec(enc)
+		if err != nil {
+			t.Fatalf("re-parse %s: %v", enc, err)
+		}
+		if back.Fingerprint() != s.Fingerprint() {
+			t.Fatalf("fingerprint %s after the round trip, %s before", back.Fingerprint(), s.Fingerprint())
+		}
+	})
 }
 
 // TestFingerprintNormalization: defaults spelled out and defaults
