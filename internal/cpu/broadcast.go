@@ -3,40 +3,104 @@ package cpu
 import "pmutrust/internal/isa"
 
 // Broadcast shares one execution among member monitors, each observing
-// it exactly as it would a run of its own, since no monitor feeds back
-// into execution. FastHeadroom asks every member (each counts its own
-// refusals) and returns the least grant and deadline: a smaller grant or
-// an earlier deadline only ends strides sooner, and OnRetire is exact for
-// any monitor at any retirement. Taken branches go to the members that
-// want them, everything else to every member.
+// it exactly as in a run of its own, since no monitor feeds back into
+// execution. It is member-exact: each member is asked for headroom,
+// handed strides and handed retirements exactly as alone.
+//
+//   - FastHeadroom asks a member again only once its grant is spent or
+//     the horizon reaches its deadline, flushing its pending counts
+//     first, and returns the least remaining grant and the least
+//     deadline.
+//   - BulkRetire folds the stride into every member's pending counts and
+//     spends its instructions from every grant.
+//   - OnRetire goes to the members whose grant is spent; every other
+//     member folds the retirement into its pending counts, spends one
+//     instruction of its grant and, if it wants branches, gets a taken
+//     branch through OnFastBranch. The interpreter never asks for
+//     headroom, so under it every member gets every OnRetire.
+//   - RunFast flushes the pending counts before it returns.
+//
+// A member without a cycle deadline (a PMU) is therefore asked at the
+// same retirements as alone, and each of its solo strides reaches it as
+// one BulkRetire with the same counts: its samples and its engine
+// counters both equal its solo run's. A member with deadlines (a mux, a
+// scheduler task) keeps exact samples and counts, since its deadline
+// retirement always reaches it through OnRetire, but it may be asked
+// again one retirement sooner than alone: the loop re-checks the fence
+// between the halves of a fused pair another member's grant splits, so
+// its stride and fallback telemetry can move slightly.
 type Broadcast struct {
-	members, branches []FastMonitor
+	members  []member
+	branches []FastMonitor // the members that want taken branches
+}
+
+// member is one Broadcast member and what it was granted.
+type member struct {
+	mon FastMonitor
+	// grant is what is left of the member's last grant, deadline that
+	// grant's deadline; a spent grant (0) means the member must be asked
+	// again before the next retirement.
+	grant, deadline uint64
+	// pending is what the member retired inside its grant and has not
+	// yet been handed.
+	pending  BulkCounts
+	branches bool
 }
 
 // NewBroadcast returns a Broadcast over members, which must be non-empty.
 func NewBroadcast(members []FastMonitor) *Broadcast {
-	b := &Broadcast{members: members}
-	for _, m := range members {
-		if m.WantBranches() {
+	b := &Broadcast{members: make([]member, len(members))}
+	for i, m := range members {
+		b.members[i] = member{mon: m, branches: m.WantBranches()}
+		if b.members[i].branches {
 			b.branches = append(b.branches, m)
 		}
 	}
 	return b
 }
 
+// flush hands the member its pending counts as one stride.
+func (m *member) flush() {
+	if m.pending.Instrs > 0 {
+		m.mon.BulkRetire(m.pending)
+		m.pending = BulkCounts{}
+	}
+}
+
+// flush hands every member its pending counts; RunFast calls it before
+// it returns.
+func (b *Broadcast) flush() {
+	for i := range b.members {
+		b.members[i].flush()
+	}
+}
+
 // OnRetire implements Monitor.
 func (b *Broadcast) OnRetire(ev RetireEvent) {
-	for _, m := range b.members {
-		m.OnRetire(ev)
+	for i := range b.members {
+		m := &b.members[i]
+		if m.grant == 0 {
+			m.mon.OnRetire(ev)
+			continue
+		}
+		m.pending.Add(CountsOf(ev))
+		m.grant--
+		if ev.Taken && m.branches {
+			m.mon.OnFastBranch(ev.Idx, ev.Target, ev.Op)
+		}
 	}
 }
 
 // FastHeadroom implements FastMonitor.
 func (b *Broadcast) FastHeadroom(horizon uint64) (grant, deadline uint64) {
-	grant, deadline = b.members[0].FastHeadroom(horizon)
-	for _, m := range b.members[1:] {
-		g, d := m.FastHeadroom(horizon)
-		grant, deadline = min(grant, g), min(deadline, d)
+	grant, deadline = ^uint64(0), NoDeadline
+	for i := range b.members {
+		m := &b.members[i]
+		if m.grant == 0 || horizon >= m.deadline {
+			m.flush()
+			m.grant, m.deadline = m.mon.FastHeadroom(horizon)
+		}
+		grant, deadline = min(grant, m.grant), min(deadline, m.deadline)
 	}
 	return grant, deadline
 }
@@ -53,7 +117,9 @@ func (b *Broadcast) OnFastBranch(from, to uint32, op isa.Op) {
 
 // BulkRetire implements FastMonitor.
 func (b *Broadcast) BulkRetire(c BulkCounts) {
-	for _, m := range b.members {
-		m.BulkRetire(c)
+	for i := range b.members {
+		m := &b.members[i]
+		m.pending.Add(c)
+		m.grant -= c.Instrs
 	}
 }

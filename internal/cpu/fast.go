@@ -69,6 +69,48 @@ type BulkCounts struct {
 	Calls, Rets uint64
 }
 
+// Add adds o to c, class by class.
+func (c *BulkCounts) Add(o BulkCounts) {
+	c.Instrs += o.Instrs
+	c.Uops += o.Uops
+	c.TakenBranches += o.TakenBranches
+	c.CondBranches += o.CondBranches
+	c.Mispredicts += o.Mispredicts
+	c.Loads += o.Loads
+	c.Stores += o.Stores
+	c.FPOps += o.FPOps
+	c.Calls += o.Calls
+	c.Rets += o.Rets
+}
+
+// CountsOf returns the bulk counts of one retirement: what a stride of
+// that instruction alone would flush.
+func CountsOf(ev RetireEvent) BulkCounts {
+	c := BulkCounts{Instrs: 1, Uops: uint64(ev.Uops)}
+	if ev.Taken {
+		c.TakenBranches = 1
+	}
+	if ev.Op.IsCondBranch() {
+		c.CondBranches = 1
+	}
+	if ev.Mispred {
+		c.Mispredicts = 1
+	}
+	switch {
+	case ev.Op == isa.OpLoad:
+		c.Loads = 1
+	case ev.Op == isa.OpStore:
+		c.Stores = 1
+	case ev.Op.ClassOf() == isa.ClassFP || ev.Op.ClassOf() == isa.ClassFPDiv:
+		c.FPOps = 1
+	case ev.Op.IsCall():
+		c.Calls = 1
+	case ev.Op.IsRet():
+		c.Rets = 1
+	}
+	return c
+}
+
 // FastMonitor is the bulk-advance contract a Monitor may implement to let
 // RunFast skip per-instruction event delivery. The protocol:
 //
@@ -432,7 +474,8 @@ func (pr *predictor) predictUpdate(pc uint32, taken bool) bool {
 // out-of-range register panics the interpreter while the fast path's
 // deliberately oversized register file reads phantom zeros).
 //
-// A monitor that does not implement FastMonitor falls back to Run.
+// A monitor that does not implement FastMonitor falls back to Run. A
+// Broadcast's pending member counts are flushed before RunFast returns.
 func RunFast(p *program.Program, cfg Config, mon Monitor, maxInstrs uint64) (Result, error) {
 	cfg = cfg.withDefaults()
 	if maxInstrs == 0 {
@@ -442,7 +485,11 @@ func RunFast(p *program.Program, cfg Config, mon Monitor, maxInstrs uint64) (Res
 	if !ok {
 		return Run(p, cfg, mon, maxInstrs)
 	}
-	return runFast(p, cfg, fm, maxInstrs)
+	res, err := runFast(p, cfg, fm, maxInstrs)
+	if b, ok := fm.(*Broadcast); ok {
+		b.flush()
+	}
+	return res, err
 }
 
 // fastResult folds the hoisted counters back into a Result.

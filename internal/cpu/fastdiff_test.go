@@ -388,6 +388,26 @@ func pmuMember(cfg pmu.Config) broadcastMember {
 	}}
 }
 
+// exactMember is a sampling unit with no cycle deadline, which the
+// broadcast keeps member-exact: its samples must match its solo
+// interpreter run's, and its engine counters its solo RunFast run's.
+func exactMember(cfg pmu.Config) broadcastMember {
+	u := pmu.New(cfg)
+	return broadcastMember{u, func(s soloRef) error {
+		solo := pmu.New(cfg)
+		s.run(solo)
+		if err := diffUnits(solo, u); err != nil {
+			return err
+		}
+		fast := pmu.New(cfg)
+		cpu.RunFast(s.p, s.cfg, fast, s.cap)
+		if got, want := *u.EngineCounters(), *fast.EngineCounters(); got != want {
+			return fmt.Errorf("engine counters diverge from the solo fast run's:\n  solo   %+v\n  shared %+v", want, got)
+		}
+		return nil
+	}}
+}
+
 // muxMember is a multiplexer, bare or over a sampling unit: rotations,
 // counts and the inner samples must match.
 func muxMember(cfg pmu.MuxConfig, inner *pmu.Config) broadcastMember {
@@ -567,6 +587,22 @@ func diffProgram(p *program.Program, maxInstrs uint64) string {
 	}
 	if err := diffBroadcast(p, cpuCfg, cap, strides); err != nil {
 		return "broadcast (strides): " + err.Error()
+	}
+	// The third set's grants differ by orders of magnitude: period-1
+	// units, which keep the execution in event mode, beside period-10⁶
+	// units, which stride through it, each with and without LBR. No
+	// member has a deadline, so each is held to its solo engine counters
+	// too.
+	exact := []broadcastMember{
+		exactMember(pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.Imprecise, Period: 1, SkidCycles: 5, Seed: 1}),
+		exactMember(pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.PreciseDist, Period: 1_000_000,
+			CaptureLBR: true, LBRDepth: 8, Seed: 2}),
+		exactMember(pmu.Config{Event: pmu.EvInstRetired, Precision: pmu.PrecisePEBS, Period: 1,
+			CaptureLBR: true, LBRDepth: 4, Seed: 3}),
+		exactMember(pmu.Config{Event: pmu.EvUopsRetired, Precision: pmu.Imprecise, Period: 1_000_000, SkidCycles: 20, Seed: 4}),
+	}
+	if err := diffBroadcast(p, cpuCfg, cap, exact); err != nil {
+		return "broadcast (member-exact): " + err.Error()
 	}
 	return ""
 }

@@ -23,7 +23,7 @@ type EngineObserver interface {
 func recordFused(fm FastMonitor, code []fastInstr) {
 	if b, ok := fm.(*Broadcast); ok {
 		for _, m := range b.members {
-			recordFused(m, code)
+			recordFused(m.mon, code)
 		}
 		return
 	}
