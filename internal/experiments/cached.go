@@ -11,8 +11,13 @@ package experiments
 //   - a cell a timeout abandons before dispatch counts as neither.
 //
 // Only a successful measurement is appended, so the next attempt measures
-// a failed cell again. The wall-time histogram observes every measured,
-// supported cell once.
+// a failed cell again. The misses of one accuracy-grid (workload,
+// machine) are measured as one group, sharing executions (see
+// measureShared); each still counts, appends and fails alone, unless its
+// shared execution fails. The wall-time histogram observes every
+// measured, supported cell once, with its group's wall time divided
+// evenly among the group's supported cells, so the histogram's total is
+// the groups' wall time.
 
 import (
 	"fmt"
@@ -20,15 +25,23 @@ import (
 	"time"
 
 	"pmutrust/internal/results"
+	"pmutrust/internal/sampling"
 )
 
-// cellKind is one grid kind on the cell path; M is its result type.
-type cellKind[M any] interface {
+// cellKind is one grid kind on the cell path; M is its result type and
+// C the kind itself.
+type cellKind[M, C any] interface {
 	// coords names the cell in its store identity. The method axis
 	// carries the kind's synthetic key (MuxKey, TenantKey) where the
 	// cell is not a plain accuracy cell.
 	coords() (workload, machine, method string)
-	measure(r *Runner) (M, error)
+	// joins reports whether the cell, a miss, is measured in one group
+	// with prev, the miss before it in grid order. Only accuracy cells
+	// of one (workload, machine) join.
+	joins(prev C) bool
+	// measure measures group, the cell itself first, and returns each
+	// cell's result and error.
+	measure(r *Runner, group []C) ([]M, []error)
 	// record converts a measurement to its store record, less the
 	// identity; served is the result a record brings back.
 	record(m M) results.Record
@@ -62,9 +75,21 @@ func (c Cell) coords() (string, string, string) {
 	return c.Workload.Name, c.Machine.Name, c.Method.Key
 }
 
-func (c Cell) measure(r *Runner) (Measurement, error) {
-	return r.Measure(c.Workload, c.Machine, c.Method)
+func (c Cell) joins(prev Cell) bool {
+	return c.Workload.Name == prev.Workload.Name && c.Machine.Name == prev.Machine.Name
 }
+
+func (c Cell) measure(r *Runner, group []Cell) ([]Measurement, []error) {
+	methods := make([]sampling.Method, len(group))
+	for k, g := range group {
+		methods[k] = g.Method
+	}
+	return r.measureShared(c.Workload, c.Machine, methods)
+}
+
+// alone is measure's result for a kind whose cells never join: its
+// group is the one cell.
+func alone[M any](m M, err error) ([]M, []error) { return []M{m}, []error{err} }
 
 func (Cell) record(m Measurement) results.Record {
 	return results.Record{Err: m.Err, PerRepeat: m.PerRepeat, Samples: m.Samples,
@@ -113,7 +138,7 @@ func (r *Runner) countCells(measured, stored int) {
 // the indices of the cells st lacks. A nil st serves nothing. A missing
 // cell holds a dead cell's result (Err -1, Failed) until it is measured,
 // and keeps it if a timeout abandons it.
-func serveCells[M any, C cellKind[M]](r *Runner, st results.Store, cells []C) ([]M, []int) {
+func serveCells[M any, C cellKind[M, C]](r *Runner, st results.Store, cells []C) ([]M, []int) {
 	out := make([]M, len(cells))
 	var misses []int
 	for i, c := range cells {
@@ -133,42 +158,83 @@ func serveCells[M any, C cellKind[M]](r *Runner, st results.Store, cells []C) ([
 	return out, misses
 }
 
-// measureCell is the cell path's second step, for one cell st lacks: it
-// measures c, counts it as measured, observes its wall time if c is
-// supported, and appends its record to st (when non-nil) only if the
-// measurement succeeded.
-func measureCell[M any, C cellKind[M]](r *Runner, st results.Store, c C) (M, error) {
+// groups splits misses, indices into cells in grid order, into the
+// groups the cell path measures together: runs of consecutive misses
+// that join. Grid order is workload-major, so the misses of one
+// (workload, machine) are consecutive.
+func groups[M any, C cellKind[M, C]](cells []C, misses []int) [][]int {
+	var out [][]int
+	for k, i := range misses {
+		if k > 0 && cells[i].joins(cells[misses[k-1]]) {
+			out[len(out)-1] = append(out[len(out)-1], i)
+		} else {
+			out = append(out, []int{i})
+		}
+	}
+	return out
+}
+
+// pick returns xs at the indices idx, in order.
+func pick[T any](xs []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		out[k] = xs[i]
+	}
+	return out
+}
+
+// measureCells is the cell path's second step, for one group of cells st
+// lacks: it measures the group with one measure call and counts each cell
+// as measured; each supported cell observes an equal share of the
+// group's wall time; and each cell's record is appended to st (when
+// non-nil) alone, only if its measurement succeeded. It returns the
+// first failure in group order.
+func measureCells[M any, C cellKind[M, C]](r *Runner, st results.Store, group []C) ([]M, error) {
 	start := time.Now()
-	m, err := c.measure(r)
+	ms, errs := group[0].measure(r, group)
 	wall := time.Since(start)
-	rec := c.record(m)
-	r.countCells(1, 0)
-	if rec.Supported {
-		r.Telemetry.ObserveCellWall(wall)
+	r.countCells(len(group), 0)
+	recs := make([]results.Record, len(group))
+	supported := 0
+	for k, c := range group {
+		recs[k] = c.record(ms[k])
+		if recs[k].Supported {
+			supported++
+		}
 	}
-	id := r.identity(c.coords())
-	if err == nil && st != nil {
-		rec.Identity, rec.Key = id, id.Key()
-		err = st.Put(rec)
+	for range supported {
+		r.Telemetry.ObserveCellWall(wall / time.Duration(supported))
 	}
-	if err != nil {
-		err = fmt.Errorf("%s/%s/%s: %w", id.Workload, id.Machine, id.Method, err)
+	var first error
+	for k, c := range group {
+		id := r.identity(c.coords())
+		err := errs[k]
+		if err == nil && st != nil {
+			rec := recs[k]
+			rec.Identity, rec.Key = id, id.Key()
+			err = st.Put(rec)
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("%s/%s/%s: %w", id.Workload, id.Machine, id.Method, err)
+		}
 	}
-	return m, err
+	return ms, first
 }
 
 // runCells is the cell path for a whole grid: serve the store hits, then
-// measure the misses on the worker pool. Hits are served before any
-// dispatch, so a timeout never abandons a stored cell. With a nil st
-// every cell is measured and none is stored.
-func runCells[M any, C cellKind[M]](r *Runner, st results.Store, opt SweepOptions, cells []C) ([]M, SweepStats, error) {
+// measure the misses on the worker pool, one group per job. Hits are
+// served before any dispatch, so a timeout never abandons a stored cell.
+// With a nil st every cell is measured and none is stored.
+func runCells[M any, C cellKind[M, C]](r *Runner, st results.Store, opt SweepOptions, cells []C) ([]M, SweepStats, error) {
 	out, misses := serveCells[M](r, st, cells)
+	gs := groups[M](cells, misses)
 	var measured atomic.Int64
-	err := r.forEach(len(misses), opt, func(j int) error {
-		i := misses[j]
-		measured.Add(1)
-		var err error
-		out[i], err = measureCell[M](r, st, cells[i])
+	err := r.forEach(len(gs), opt, func(j int) error {
+		measured.Add(int64(len(gs[j])))
+		ms, err := measureCells[M](r, st, pick(cells, gs[j]))
+		for k, i := range gs[j] {
+			out[i] = ms[k]
+		}
 		return err
 	})
 	return out, SweepStats{Cached: len(cells) - len(misses), Measured: int(measured.Load())}, err
@@ -191,17 +257,30 @@ func (r *Runner) SweepCached(g Grid, st results.Store, opt SweepOptions) ([]Meas
 
 // ServeCells is the cell path's serve step for a worker that schedules
 // its own measurements (internal/sweepd): the cells present in st count
-// as stored, and it returns the indices of the cells st lacks.
-func (r *Runner) ServeCells(cells []Cell, st results.Store) []int {
-	_, missing := serveCells[Measurement](r, st, cells)
-	return missing
+// as stored, and it returns the cells st lacks in the groups the cell
+// path measures together, in grid order.
+func (r *Runner) ServeCells(cells []Cell, st results.Store) [][]Cell {
+	_, misses := serveCells[Measurement](r, st, cells)
+	var out [][]Cell
+	for _, g := range groups[Measurement](cells, misses) {
+		out = append(out, pick(cells, g))
+	}
+	return out
 }
 
-// MeasureCell is the cell path's measure step for one accuracy cell st
-// lacks: the cell counts as measured, and its record is appended to st
-// only if the measurement succeeded.
-func (r *Runner) MeasureCell(c Cell, st results.Store) (Measurement, error) {
-	return measureCell[Measurement](r, st, c)
+// MeasureCells is the cell path's measure step for one group of accuracy
+// cells st lacks, which must share a workload and machine (a group
+// ServeCells returned, or any one cell): each cell counts as measured,
+// and its record is appended to st alone, only if its measurement
+// succeeded. It returns the first failure in group order.
+func (r *Runner) MeasureCells(group []Cell, st results.Store) ([]Measurement, error) {
+	for _, c := range group {
+		if !c.joins(group[0]) {
+			return nil, fmt.Errorf("experiments: cell %s/%s is not of the group of %s/%s",
+				c.Workload.Name, c.Machine.Name, group[0].Workload.Name, group[0].Machine.Name)
+		}
+	}
+	return measureCells[Measurement](r, st, group)
 }
 
 // StoreStats returns the served/measured split of every cell this

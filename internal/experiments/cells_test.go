@@ -74,10 +74,9 @@ func cellPathCases(t *testing.T) []cellPathCase {
 		}},
 		{"worker", grid, func(r *Runner) error {
 			cells := g.Cells()
-			missing := r.ServeCells(cells, r.Store)
 			var first error
-			for _, i := range missing {
-				if _, err := r.MeasureCell(cells[i], r.Store); err != nil && first == nil {
+			for _, group := range r.ServeCells(cells, r.Store) {
+				if _, err := r.MeasureCells(group, r.Store); err != nil && first == nil {
 					first = err
 				}
 			}

@@ -11,7 +11,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -23,7 +22,6 @@ import (
 	"pmutrust/internal/ref"
 	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
-	"pmutrust/internal/sched"
 	"pmutrust/internal/stats"
 	"pmutrust/internal/telemetry"
 	"pmutrust/internal/workloads"
@@ -244,7 +242,9 @@ func (r *Runner) repeatSeed(spec workloads.Spec, mach machine.Machine, m samplin
 // MeasureOnce runs one (workload, machine, method) measurement with one
 // seed and returns the accuracy error and the sample count.
 func (r *Runner) MeasureOnce(spec workloads.Spec, mach machine.Machine, m sampling.Method, seed uint64) (float64, int, error) {
-	e, run, err := r.measureOnce(spec, mach, m, 1, 0, 0, seed)
+	e, run, _, err := r.score(spec, func(p *program.Program) (*sampling.Run, error) {
+		return sampling.Collect(p, mach, m, r.collectOptions(seed))
+	})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -265,10 +265,9 @@ func (r *Runner) collectOptions(seed uint64) sampling.Options {
 }
 
 // score is the one collect → estimate → score body: collect samples the
-// built workload, lbr.Profile estimates its block profile the way the
-// run's method would, and the estimate is scored against the exact
-// reference. It returns the accuracy error with the run and the LBR
-// decode stats (zero for sampled methods).
+// built workload, and scoreRun scores the run. It returns the accuracy
+// error with the run and the LBR decode stats (zero for sampled
+// methods).
 func (r *Runner) score(spec workloads.Spec, collect func(*program.Program) (*sampling.Run, error)) (float64, *sampling.Run, lbr.DecodeStats, error) {
 	p := r.Workload(spec)
 	reference, err := r.Reference(spec)
@@ -279,84 +278,185 @@ func (r *Runner) score(spec workloads.Spec, collect func(*program.Program) (*sam
 	if err != nil {
 		return 0, nil, lbr.DecodeStats{}, err
 	}
-	bp, ds, err := lbr.Profile(p, run)
-	if err != nil {
-		return 0, nil, ds, err
-	}
-	e, err := analysis.AccuracyError(bp, reference)
+	e, ds, err := scoreRun(p, run, reference)
 	if err != nil {
 		return 0, nil, ds, err
 	}
 	return e, run, ds, nil
 }
 
-// measureOnce scores one repeat of a grid cell: n tenants all run the
-// workload (homogeneous tenancy, the self-interference worst case) under
-// sched.Collect, which hands n = 1 to sampling.Collect unchanged, and the
-// measured tenant's (tenant 0's) run is scored. It returns the error and
-// that run.
-func (r *Runner) measureOnce(spec workloads.Spec, mach machine.Machine, m sampling.Method,
-	n int, timeslice, switchCost, seed uint64) (float64, *sampling.Run, error) {
-
-	e, run, _, err := r.score(spec, func(p *program.Program) (*sampling.Run, error) {
-		opt := r.collectOptions(seed)
-		opt.SchedTimesliceCycles, opt.SchedSwitchCostCycles = timeslice, switchCost
-		runs, err := sched.Collect(slices.Repeat([]*program.Program{p}, n), mach, m, sched.Options{Options: opt})
-		if err != nil {
-			return nil, err
-		}
-		return runs[0], nil
-	})
-	return e, run, err
+// scoreRun estimates run's block profile the way its method would
+// (lbr.Profile) and scores the estimate against the exact reference.
+func scoreRun(p *program.Program, run *sampling.Run, reference *ref.Profile) (float64, lbr.DecodeStats, error) {
+	bp, ds, err := lbr.Profile(p, run)
+	if err != nil {
+		return 0, ds, err
+	}
+	e, err := analysis.AccuracyError(bp, reference)
+	return e, ds, err
 }
 
-// Measure runs the configured number of repeats and averages. Each
-// repeat uses a seed derived from the cell identity (see repeatSeed);
-// Samples records the count of the first successful repeat, so the field
-// is well-defined under concurrency. When some repeats fail, the
-// successful ones are still aggregated into the returned Measurement and
-// the per-repeat failures come back joined into one error.
+// instrsPerSharedSample is the packing rule of shared executions: an
+// execution takes members while it samples on average at most once per
+// this many retired instructions. The registry scales periods so that
+// every method samples about once per PeriodBase instructions, so at
+// most PeriodBase/instrsPerSharedSample members share an execution: 8 at
+// period 2000, 16 at paper scale's 4000 and 1 at period 250. A cap is
+// needed because a group holds every member's samples at once: with
+// none, perfbench's sample-dense workload (period 250) shared 7 members
+// per execution and its peak RSS rose from 13.4–13.9 MB to 18.0–20.8 MB
+// (2 vCPUs), with no gain in wall time. A cap on predicted sample bytes
+// (512 KiB) also held RSS flat, but split the small- and paper-scale
+// groups: the paper-scale sweep took 85 s against 25 s under this rule.
+const instrsPerSharedSample = 250
+
+// sharedMembers is how many members one execution takes at this
+// runner's period (see instrsPerSharedSample).
+func (r *Runner) sharedMembers() int {
+	return max(1, int(r.Scale.PeriodBase/instrsPerSharedSample))
+}
+
+// Measure runs the configured number of repeats and averages: the
+// one-method case of measureShared. Each repeat uses a seed derived from
+// the cell identity (see repeatSeed); Samples records the count of the
+// first successful repeat, so the field is well-defined under
+// concurrency. When some repeats fail, the successful ones are still
+// aggregated into the returned Measurement and the per-repeat failures
+// come back joined into one error.
 func (r *Runner) Measure(spec workloads.Spec, mach machine.Machine, m sampling.Method) (Measurement, error) {
-	meas, _, err := r.measure(spec, mach, m, 1, 0, 0)
-	return meas, err
+	ms, errs := r.measureShared(spec, mach, []sampling.Method{m})
+	return ms[0], errs[0]
 }
 
-// measure is the one repeat loop behind Measure and MeasureTenants: it
-// runs measureOnce with n tenants for each repeat and aggregates, and
-// also returns the first successful repeat's scheduling noise stats
-// (nil for one tenant). An unsupported cell is not run and reads Err -1.
-func (r *Runner) measure(spec workloads.Spec, mach machine.Machine, m sampling.Method,
-	n int, timeslice, switchCost uint64) (Measurement, *sampling.SchedStats, error) {
+// measureShared measures methods on one (workload, machine), its
+// members sharing executions: up to sharedMembers of them are lowered
+// under their repeat's collectOptions and collected through one
+// sampling.CollectCells. A member that cannot be lowered fails alone;
+// when the shared execution fails, every member it carried fails.
+func (r *Runner) measureShared(spec workloads.Spec, mach machine.Machine, methods []sampling.Method) ([]Measurement, []error) {
+	ms, _, errs := r.measure(spec, mach, methods, r.sharedMembers(), func(p *program.Program, batch []member) ([]*sampling.Run, []error) {
+		runs := make([]*sampling.Run, len(batch))
+		errs := make([]error, len(batch))
+		var cells []sampling.Cell
+		var lowered []int // batch index of each cell
+		for j, mb := range batch {
+			c, err := sampling.PrepareCell(mach, methods[mb.method], r.collectOptions(mb.seed))
+			if err != nil {
+				errs[j] = err
+				continue
+			}
+			cells = append(cells, c)
+			lowered = append(lowered, j)
+		}
+		if len(cells) == 0 {
+			return runs, errs
+		}
+		got, err := sampling.CollectCells(p, mach, cells, r.collectOptions(0))
+		for k, j := range lowered {
+			if err != nil {
+				errs[j] = err
+			} else {
+				runs[j] = got[k]
+			}
+		}
+		return runs, errs
+	})
+	return ms, errs
+}
 
-	meas := Measurement{
-		Workload: spec.Name,
-		Machine:  mach.Name,
-		Method:   m.Key,
-		Err:      -1,
-	}
-	if _, ok := sampling.Resolve(m, mach); !ok {
-		return meas, nil, nil
-	}
-	meas.Supported = true
-	var sst *sampling.SchedStats
-	var errs []float64
-	var failures []error
-	for rep := 0; rep < r.Scale.Repeats; rep++ {
-		e, run, err := r.measureOnce(spec, mach, m, n, timeslice, switchCost, r.repeatSeed(spec, mach, m, rep))
-		if err != nil {
-			failures = append(failures, fmt.Errorf("repeat %d: %w", rep, err))
+// member is one repeat of one method of a measure call: the unit an
+// execution carries. Repeat seeds are pure (repeatSeed), so every member
+// is known before anything executes.
+type member struct {
+	method, rep int
+	seed        uint64
+}
+
+// collector collects one execution's members on the built workload p,
+// returning each member's run, or its error in place of a run.
+type collector func(p *program.Program, batch []member) ([]*sampling.Run, []error)
+
+// repeat is one scored repeat of a method.
+type repeat struct {
+	e       float64
+	samples int
+	sched   *sampling.SchedStats
+	err     error
+}
+
+// measure is the one measurement body behind Measure, MeasureTenants
+// and the grouped cell path. Every repeat of every method mach supports
+// is a member; collect runs up to shared members per execution, and each
+// execution's members are scored and their runs dropped before the next
+// execution starts. Each method then aggregates its repeats in repeat
+// order: PerRepeat holds the successful repeats' errors, Samples (and
+// the returned SchedStats, nil for one tenant) come from the first
+// successful repeat, Failed marks a failed repeat, and Err is the mean
+// of the successful ones — -1 when none succeeded, or when the method is
+// unsupported and nothing ran. A method's per-repeat failures come back
+// joined into its error.
+func (r *Runner) measure(spec workloads.Spec, mach machine.Machine, methods []sampling.Method,
+	shared int, collect collector) ([]Measurement, []*sampling.SchedStats, []error) {
+
+	out := make([]Measurement, len(methods))
+	reps := make([][]repeat, len(methods))
+	var members []member
+	for k, m := range methods {
+		out[k] = Measurement{Workload: spec.Name, Machine: mach.Name, Method: m.Key, Err: -1}
+		if _, ok := sampling.Resolve(m, mach); !ok {
 			continue
 		}
-		if len(errs) == 0 {
-			meas.Samples = len(run.Samples)
-			sst = run.Sched
+		out[k].Supported = true
+		reps[k] = make([]repeat, r.Scale.Repeats)
+		for rep := range reps[k] {
+			members = append(members, member{k, rep, r.repeatSeed(spec, mach, m, rep)})
 		}
-		errs = append(errs, e)
 	}
-	meas.PerRepeat = errs
-	meas.Failed = len(failures) > 0
-	if len(errs) > 0 {
-		meas.Err = stats.Mean(errs)
+	if len(members) > 0 {
+		p := r.Workload(spec)
+		reference, refErr := r.Reference(spec)
+		for len(members) > 0 {
+			batch := members[:min(shared, len(members))]
+			members = members[len(batch):]
+			var runs []*sampling.Run
+			var errs []error
+			if refErr == nil {
+				runs, errs = collect(p, batch)
+			}
+			for j, mb := range batch {
+				rp := &reps[mb.method][mb.rep]
+				switch {
+				case refErr != nil:
+					rp.err = refErr
+				case errs[j] != nil:
+					rp.err = errs[j]
+				default:
+					rp.e, _, rp.err = scoreRun(p, runs[j], reference)
+					rp.samples, rp.sched = len(runs[j].Samples), runs[j].Sched
+				}
+			}
+		}
 	}
-	return meas, sst, errors.Join(failures...)
+
+	scheds := make([]*sampling.SchedStats, len(methods))
+	errs := make([]error, len(methods))
+	for k := range methods {
+		var failures []error
+		for rep, rp := range reps[k] {
+			if rp.err != nil {
+				failures = append(failures, fmt.Errorf("repeat %d: %w", rep, rp.err))
+				continue
+			}
+			if len(out[k].PerRepeat) == 0 {
+				out[k].Samples, scheds[k] = rp.samples, rp.sched
+			}
+			out[k].PerRepeat = append(out[k].PerRepeat, rp.e)
+		}
+		out[k].Failed = len(failures) > 0
+		if len(out[k].PerRepeat) > 0 {
+			out[k].Err = stats.Mean(out[k].PerRepeat)
+		}
+		errs[k] = errors.Join(failures...)
+	}
+	return out, scheds, errs
 }

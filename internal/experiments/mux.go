@@ -149,8 +149,10 @@ func (c muxCell) coords() (string, string, string) {
 	return c.spec.Name, c.mach.Name, key
 }
 
-func (c muxCell) measure(r *Runner) (MuxMeasurement, error) {
-	return r.MeasureMux(c.spec, c.mach, c.events, c.timeslice, c.policy)
+func (muxCell) joins(muxCell) bool { return false }
+
+func (c muxCell) measure(r *Runner, _ []muxCell) ([]MuxMeasurement, []error) {
+	return alone(r.MeasureMux(c.spec, c.mach, c.events, c.timeslice, c.policy))
 }
 
 // record keeps only the summary: the mean error, and the rotation count

@@ -18,6 +18,7 @@ import (
 // (workloads.PhasedFamily: the hand-built PhaseShift plus the built-in
 // generated specs) across all machines and sampling methods.
 var phasedMatrix = accuracyMatrix{
+	name:  "phased",
 	title: "Table 9: sampling-method accuracy errors on phased/bursty workloads (lower is better)",
 	note:  "Phased family: PhaseShift (hand-built) + spec-generated alternate/burst/ramp schedules (docs/WORKLOADS.md); no paper counterpart — extends the accuracy matrix to non-stationary mixes.",
 	rows:  workloads.PhasedFamily,

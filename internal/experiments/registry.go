@@ -45,8 +45,8 @@ type Experiment struct {
 	// mean nothing without their Inputs, so "all" skips them.
 	InAll bool
 	// Rows, set for an accuracy matrix a sweep can shard, returns its
-	// workload rows; GridByName crosses them with every machine and
-	// method.
+	// workload rows: those of its entry in the rows table (matrices),
+	// which GridByName crosses with every machine and method.
 	Rows func() []workloads.Spec
 	// Run runs the experiment. Its Output is meaningful only when the
 	// error is nil.
@@ -67,8 +67,8 @@ func Registry() []Experiment {
 		{Name: "table3", InAll: true, Run: func(*Runner, Inputs) (Output, error) {
 			return Output{Table: RunTable3()}, nil
 		}},
-		{Name: "table1", InAll: true, Rows: table1Matrix.rows, Run: matrix(t1)},
-		{Name: "table2", InAll: true, Rows: table2Matrix.rows, Run: matrix(t2)},
+		matrixEntry(table1Matrix, t1),
+		matrixEntry(table2Matrix, t2),
 		{Name: "factors", InAll: true, Run: func(r *Runner, _ Inputs) (Output, error) {
 			a, err := t1(r)
 			if err != nil {
@@ -110,7 +110,7 @@ func Registry() []Experiment {
 			t, ms, err := r.RunTenantsTimeslice(in.SwitchCost)
 			return Output{Table: t, TenantMeasurements: ms}, err
 		}},
-		{Name: "phased", InAll: true, Rows: phasedMatrix.rows, Run: matrix((*Runner).RunPhased)},
+		matrixEntry(phasedMatrix, (*Runner).RunPhased),
 		{Name: "spec", Run: func(r *Runner, in Inputs) (Output, error) {
 			if in.Spec == "" {
 				return Output{}, errors.New("-experiment spec needs -spec FILE")
@@ -178,8 +178,11 @@ func matrixOutput(tr *TableResult, err error) (Output, error) {
 	return Output{Table: tr.Table, Measurements: tr.Measurements}, nil
 }
 
-func matrix(run func(*Runner) (*TableResult, error)) func(*Runner, Inputs) (Output, error) {
-	return func(r *Runner, _ Inputs) (Output, error) { return matrixOutput(run(r)) }
+// matrixEntry is the entry of one of the shardable matrices: its name
+// and rows are the rows table's (matrices).
+func matrixEntry(mat accuracyMatrix, run func(*Runner) (*TableResult, error)) Experiment {
+	return Experiment{Name: mat.name, InAll: true, Rows: mat.rows,
+		Run: func(r *Runner, _ Inputs) (Output, error) { return matrixOutput(run(r)) }}
 }
 
 // series adapts the ablations and side experiments, whose raw results

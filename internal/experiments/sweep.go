@@ -52,17 +52,14 @@ func (g Grid) Size() int { return len(g.Workloads) * len(g.Machines) * len(g.Met
 // these grids, so the mapping from experiment name to cell set must stay
 // identical between the single-process and sharded paths.
 func GridByName(name string) (Grid, error) {
-	var matrices []string
-	for _, e := range Registry() {
-		if e.Rows == nil {
-			continue
+	var names []string
+	for _, mat := range matrices {
+		if mat.name == name {
+			return matrixGrid(mat.rows()), nil
 		}
-		if e.Name == name {
-			return matrixGrid(e.Rows()), nil
-		}
-		matrices = append(matrices, e.Name)
+		names = append(names, mat.name)
 	}
-	return Grid{}, fmt.Errorf("experiments: no cell grid for experiment %q (matrix experiments: %s)", name, strings.Join(matrices, ", "))
+	return Grid{}, fmt.Errorf("experiments: no cell grid for experiment %q (matrix experiments: %s)", name, strings.Join(names, ", "))
 }
 
 // SweepOptions bounds a sweep's parallelism and wall-clock time. The

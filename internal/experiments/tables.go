@@ -41,19 +41,28 @@ func (tr *TableResult) Get(workload, mach, method string) float64 {
 // accuracyMatrix is one workload × machine × method accuracy table:
 // Tables 1 and 2, the phased table, or a -spec file's matrix. Its rows
 // are the only thing that differs between them; matrixGrid crosses the
-// rows with every machine and method.
+// rows with every machine and method. name is its experiment name, empty
+// for a -spec file's matrix.
 type accuracyMatrix struct {
-	title, note string
-	rows        func() []workloads.Spec
+	name, title, note string
+	rows              func() []workloads.Spec
 }
+
+// matrices is the rows table of the accuracy matrices a sweep can shard.
+// GridByName resolves a grid here and the experiment table's matrix
+// entries are built from the same values, so asking for a grid reaches
+// no run function.
+var matrices = []accuracyMatrix{table1Matrix, table2Matrix, phasedMatrix}
 
 var (
 	table1Matrix = accuracyMatrix{
+		name:  "table1",
 		title: "Table 1: sampling-method accuracy errors on kernels (lower is better)",
 		note:  "\"-\" = method unsupported on machine (no LBR/PEBS on Magny-Cours, no PDIR on Westmere: lowered or skipped per §4.2).",
 		rows:  workloads.Kernels,
 	}
 	table2Matrix = accuracyMatrix{
+		name:  "table2",
 		title: "Table 2: errors per machine/application (lower is better)",
 		note:  "Applications: SPEC CPU2006 enterprise-proxy subset analogs + FullCMS analog (see DESIGN.md for the substitution).",
 		rows:  workloads.Apps,
@@ -201,28 +210,26 @@ type IPFixResult struct {
 }
 
 // RunIPFix measures the FullCMS IP-fix side experiment on Ivy Bridge.
+// Its two cells are Table 2 cells, sent through the cell path as one
+// group: stored, resumed and counted like the table's.
 func (r *Runner) RunIPFix() (*report.Table, *IPFixResult, error) {
 	spec, err := workloads.ByName("FullCMS")
 	if err != nil {
 		return nil, nil, err
 	}
-	ivb := machine.IvyBridge()
-	classic, err := sampling.MethodByKey("classic")
+	cells := make([]Cell, 2)
+	for i, key := range []string{"classic", "pdir+ipfix"} {
+		m, err := sampling.MethodByKey(key)
+		if err != nil {
+			return nil, nil, err
+		}
+		cells[i] = Cell{Workload: spec, Machine: machine.IvyBridge(), Method: m}
+	}
+	ms, _, err := runCells[Measurement](r, r.Store, r.opts(), cells)
 	if err != nil {
 		return nil, nil, err
 	}
-	fixed, err := sampling.MethodByKey("pdir+ipfix")
-	if err != nil {
-		return nil, nil, err
-	}
-	mc, err := r.Measure(spec, ivb, classic)
-	if err != nil {
-		return nil, nil, err
-	}
-	mf, err := r.Measure(spec, ivb, fixed)
-	if err != nil {
-		return nil, nil, err
-	}
+	mc, mf := ms[0], ms[1]
 	res := &IPFixResult{
 		ClassicErr: mc.Err,
 		FixedErr:   mf.Err,

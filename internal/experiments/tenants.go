@@ -15,8 +15,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"pmutrust/internal/machine"
+	"pmutrust/internal/program"
 	"pmutrust/internal/report"
 	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
@@ -70,20 +72,29 @@ func tenantCellKey(n int, timeslice uint64, method string) (uint64, string) {
 }
 
 // MeasureTenants measures one scheduling cell over the configured
-// repeats through Measure's repeat loop (derived repeat seeds, -1 for
-// unsupported/dead cells, joined per-repeat failures). With n = 1 the
-// scheduler delegates to sampling.Collect, so the result equals
-// Measure's bit for bit.
+// repeats through Measure's body (derived repeat seeds, -1 for
+// unsupported/dead cells, joined per-repeat failures), one repeat per
+// sched.Collect. With n = 1 the scheduler delegates to sampling.Collect,
+// so the result equals Measure's bit for bit.
 func (r *Runner) MeasureTenants(spec workloads.Spec, mach machine.Machine, m sampling.Method,
 	n int, timeslice, switchCost uint64) (TenantMeasurement, error) {
 
 	timeslice, key := tenantCellKey(n, timeslice, m.Key)
-	meas, sst, err := r.measure(spec, mach, m, n, timeslice, switchCost)
+	ms, scheds, errs := r.measure(spec, mach, []sampling.Method{m}, 1, func(p *program.Program, batch []member) ([]*sampling.Run, []error) {
+		opt := r.collectOptions(batch[0].seed)
+		opt.SchedTimesliceCycles, opt.SchedSwitchCostCycles = timeslice, switchCost
+		runs, err := sched.Collect(slices.Repeat([]*program.Program{p}, n), mach, m, sched.Options{Options: opt})
+		if err != nil {
+			return nil, []error{err}
+		}
+		return runs[:1], []error{nil} // the measured tenant's run
+	})
+	meas := ms[0]
 	return TenantMeasurement{
 		Workload: spec.Name, Machine: mach.Name, Method: m.Key, Key: key, Tenants: n,
-		Err: meas.Err, PerRepeat: meas.PerRepeat, Samples: meas.Samples, Sched: sst,
+		Err: meas.Err, PerRepeat: meas.PerRepeat, Samples: meas.Samples, Sched: scheds[0],
 		Supported: meas.Supported, Failed: meas.Failed,
-	}, err
+	}, errs[0]
 }
 
 // tenantCell is one tenant grid cell on the cell path. Its identity
@@ -104,8 +115,10 @@ func (c tenantCell) coords() (string, string, string) {
 	return c.spec.Name, c.mach.Name, key
 }
 
-func (c tenantCell) measure(r *Runner) (TenantMeasurement, error) {
-	return r.MeasureTenants(c.spec, c.mach, c.method, c.n, c.timeslice, c.switchCost)
+func (tenantCell) joins(tenantCell) bool { return false }
+
+func (c tenantCell) measure(r *Runner, _ []tenantCell) ([]TenantMeasurement, []error) {
+	return alone(r.MeasureTenants(c.spec, c.mach, c.method, c.n, c.timeslice, c.switchCost))
 }
 
 func (tenantCell) record(m TenantMeasurement) results.Record {

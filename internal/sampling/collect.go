@@ -345,6 +345,28 @@ func CollectCell(p *program.Program, mach machine.Machine, cell Cell, opt Option
 	return run, nil
 }
 
+// CollectCells is CollectCell for several lowered cells that share one
+// execution of p through RunCells: each run equals its cell's own
+// CollectCell run, since the broadcast is member-exact. Under EngineBoth
+// every cell's outcome is diffed. On error it returns no runs.
+func CollectCells(p *program.Program, mach machine.Machine, cells []Cell, opt Options) ([]*Run, error) {
+	runs, err := RunEngines(opt.Engine, func(eng cpu.Engine) ([]*Run, error) {
+		runs := make([]*Run, len(cells))
+		return runs, RunCells(p, mach, cells, runs, opt, eng, nil)
+	}, func(ref []*Run, refErr error, got []*Run, gotErr error) error {
+		for i := range cells {
+			if err := DiffOutcome(ref[i], refErr, got[i], gotErr); err != nil {
+				return fmt.Errorf("engine divergence on %s/%s/%s: %w", p.Name, mach.Name, cells[i].Requested.Key, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return runs, nil
+}
+
 // RunEngines runs one collection under an engine mode: run is called with
 // the fast engine, the interpreter, or both. Under EngineBoth the
 // interpreter's outcome is the reference — diff compares it with the fast

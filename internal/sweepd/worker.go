@@ -288,8 +288,9 @@ func shardWriter(shard int, gen uint64) string {
 }
 
 // runShard measures the shard's missing cells into this generation's
-// file under a heartbeat. On supersession it stops between cells and
-// returns ErrSuperseded without done-marking; completed appends stay.
+// file under a heartbeat, one group of cells that share executions at a
+// time. On supersession it stops between groups and returns
+// ErrSuperseded without done-marking; completed appends stay.
 func (w *Worker) runShard(p *Plan, r *experiments.Runner, shard int, lease *Lease, log *slog.Logger) error {
 	st, err := results.OpenDir(CellsDir(w.Dir), shardWriter(shard, lease.Gen))
 	if err != nil {
@@ -305,7 +306,7 @@ func (w *Worker) runShard(p *Plan, r *experiments.Runner, shard int, lease *Leas
 			return err
 		}
 	}
-	missing := r.ServeCells(cells, st)
+	groups := r.ServeCells(cells, st)
 
 	// Heartbeat at TTL/3 until the shard is finished; a failed or
 	// superseded heartbeat flips the stop flag the measure loop checks
@@ -344,17 +345,17 @@ func (w *Worker) runShard(p *Plan, r *experiments.Runner, shard int, lease *Leas
 		<-hbDone
 	}
 
-	err = pool.ForEach(len(missing), w.Parallel, 0, func(i int) error {
+	// One job per group of missing cells (a shard boundary may split a
+	// (workload, machine), so groups never span shards). A failed cell
+	// is not stored: it stays missing and a later owner or render pass
+	// retries it.
+	fst := faultStore{st, w}
+	err = pool.ForEach(len(groups), w.Parallel, 0, func(i int) error {
 		if superseded.Load() {
 			return nil // abandoned: the new owner measures the rest
 		}
-		if _, err := r.MeasureCell(cells[missing[i]], st); err != nil {
-			// Not stored: the cell stays missing and a later owner or
-			// render pass retries it.
-			return err
-		}
-		w.faultStep(st)
-		return nil
+		_, err := r.MeasureCells(groups[i], fst)
+		return err
 	})
 	stopHeartbeat()
 	if superseded.Load() {
@@ -368,6 +369,22 @@ func (w *Worker) runShard(p *Plan, r *experiments.Runner, shard int, lease *Leas
 		err = derr
 	}
 	return err
+}
+
+// faultStore appends a shard's records and advances the worker's
+// fault-injection state after each append.
+type faultStore struct {
+	*results.FileStore
+	w *Worker
+}
+
+// Put implements results.Store.
+func (s faultStore) Put(rec results.Record) error {
+	if err := s.FileStore.Put(rec); err != nil {
+		return err
+	}
+	s.w.faultStep(s.FileStore)
+	return nil
 }
 
 // faultStep advances the fault-injection state after one appended

@@ -122,7 +122,7 @@ func TestWorkerServesPredecessorCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.MeasureCell(c, pre); err != nil {
+		if _, err := r.MeasureCells([]experiments.Cell{c}, pre); err != nil {
 			t.Fatal(err)
 		}
 	}
