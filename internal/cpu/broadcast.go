@@ -26,9 +26,11 @@ import "pmutrust/internal/isa"
 // counters both equal its solo run's. A member with deadlines (a mux, a
 // scheduler task) keeps exact samples and counts, since its deadline
 // retirement always reaches it through OnRetire, but it may be asked
-// again one retirement sooner than alone: the loop re-checks the fence
-// between the halves of a fused pair another member's grant splits, so
-// its stride and fallback telemetry can move slightly.
+// again one retirement sooner than alone: alone, the stride loop checks
+// the fence once per fused pair, while a pair that another member's
+// grant splits, or that runs in event mode for another member, is
+// checked between its halves. Its stride and fallback telemetry can
+// therefore move by one instruction per such pair.
 type Broadcast struct {
 	members  []member
 	branches []FastMonitor // the members that want taken branches
@@ -83,7 +85,7 @@ func (b *Broadcast) OnRetire(ev RetireEvent) {
 			m.mon.OnRetire(ev)
 			continue
 		}
-		m.pending.Add(CountsOf(ev))
+		m.pending.add(CountsOf(ev))
 		m.grant--
 		if ev.Taken && m.branches {
 			m.mon.OnFastBranch(ev.Idx, ev.Target, ev.Op)
@@ -119,7 +121,7 @@ func (b *Broadcast) OnFastBranch(from, to uint32, op isa.Op) {
 func (b *Broadcast) BulkRetire(c BulkCounts) {
 	for i := range b.members {
 		m := &b.members[i]
-		m.pending.Add(c)
+		m.pending.add(c)
 		m.grant -= c.Instrs
 	}
 }

@@ -69,8 +69,8 @@ type BulkCounts struct {
 	Calls, Rets uint64
 }
 
-// Add adds o to c, class by class.
-func (c *BulkCounts) Add(o BulkCounts) {
+// add adds o to c, class by class.
+func (c *BulkCounts) add(o BulkCounts) {
 	c.Instrs += o.Instrs
 	c.Uops += o.Uops
 	c.TakenBranches += o.TakenBranches

@@ -20,9 +20,10 @@ type cellPathCase struct {
 }
 
 // cellPathCases covers every caller of the cell path: a SweepCached
-// grid, a mux grid, a tenant grid and the sweepd worker's serve and
-// measure steps. The accuracy and tenant grids include cells Magny-Cours
-// cannot run.
+// grid, whose misses are measured in (workload, machine) groups, a mux
+// grid, a tenant grid and the sweepd worker's serve and measure steps,
+// over two shards whose boundary splits the first group. The accuracy
+// and tenant grids include cells Magny-Cours cannot run.
 func cellPathCases(t *testing.T) []cellPathCase {
 	spec, err := workloads.ByName("LatencyBiased")
 	if err != nil {
@@ -75,9 +76,11 @@ func cellPathCases(t *testing.T) []cellPathCase {
 		{"worker", grid, func(r *Runner) error {
 			cells := g.Cells()
 			var first error
-			for _, group := range r.ServeCells(cells, r.Store) {
-				if _, err := r.MeasureCells(group, r.Store); err != nil && first == nil {
-					first = err
+			for _, shard := range [][]Cell{cells[:1], cells[1:]} {
+				for _, group := range r.ServeCells(shard, r.Store) {
+					if _, err := r.MeasureCells(group, r.Store); err != nil && first == nil {
+						first = err
+					}
 				}
 			}
 			return first

@@ -302,12 +302,11 @@ func scoreRun(p *program.Program, run *sampling.Run, reference *ref.Profile) (fl
 // every method samples about once per PeriodBase instructions, so at
 // most PeriodBase/instrsPerSharedSample members share an execution: 8 at
 // period 2000, 16 at paper scale's 4000 and 1 at period 250. A cap is
-// needed because a group holds every member's samples at once: with
-// none, perfbench's sample-dense workload (period 250) shared 7 members
-// per execution and its peak RSS rose from 13.4–13.9 MB to 18.0–20.8 MB
-// (2 vCPUs), with no gain in wall time. A cap on predicted sample bytes
-// (512 KiB) also held RSS flat, but split the small- and paper-scale
-// groups: the paper-scale sweep took 85 s against 25 s under this rule.
+// needed because an execution holds every member's samples at once:
+// with none, perfbench's sample-dense workload (period 250) shares up to
+// 7 members per execution, and in 3 alternating 10 s runs (2 vCPUs) it
+// read peak RSS 18.2–20.6 MB against 13.4–13.8 MB and wall_s 1.16–1.39 s
+// against 0.62–0.89 s.
 const instrsPerSharedSample = 250
 
 // sharedMembers is how many members one execution takes at this
@@ -331,35 +330,18 @@ func (r *Runner) Measure(spec workloads.Spec, mach machine.Machine, m sampling.M
 // measureShared measures methods on one (workload, machine), its
 // members sharing executions: up to sharedMembers of them are lowered
 // under their repeat's collectOptions and collected through one
-// sampling.CollectCells. A member that cannot be lowered fails alone;
-// when the shared execution fails, every member it carried fails.
+// sampling.CollectCells.
 func (r *Runner) measureShared(spec workloads.Spec, mach machine.Machine, methods []sampling.Method) ([]Measurement, []error) {
-	ms, _, errs := r.measure(spec, mach, methods, r.sharedMembers(), func(p *program.Program, batch []member) ([]*sampling.Run, []error) {
-		runs := make([]*sampling.Run, len(batch))
-		errs := make([]error, len(batch))
-		var cells []sampling.Cell
-		var lowered []int // batch index of each cell
+	ms, _, errs := r.measure(spec, mach, methods, r.sharedMembers(), func(p *program.Program, batch []member) ([]*sampling.Run, error) {
+		cells := make([]sampling.Cell, len(batch))
 		for j, mb := range batch {
 			c, err := sampling.PrepareCell(mach, methods[mb.method], r.collectOptions(mb.seed))
 			if err != nil {
-				errs[j] = err
-				continue
+				return nil, err
 			}
-			cells = append(cells, c)
-			lowered = append(lowered, j)
+			cells[j] = c
 		}
-		if len(cells) == 0 {
-			return runs, errs
-		}
-		got, err := sampling.CollectCells(p, mach, cells, r.collectOptions(0))
-		for k, j := range lowered {
-			if err != nil {
-				errs[j] = err
-			} else {
-				runs[j] = got[k]
-			}
-		}
-		return runs, errs
+		return sampling.CollectCells(p, mach, cells, r.collectOptions(0))
 	})
 	return ms, errs
 }
@@ -373,8 +355,8 @@ type member struct {
 }
 
 // collector collects one execution's members on the built workload p,
-// returning each member's run, or its error in place of a run.
-type collector func(p *program.Program, batch []member) ([]*sampling.Run, []error)
+// returning each member's run; an error fails every member.
+type collector func(p *program.Program, batch []member) ([]*sampling.Run, error)
 
 // repeat is one scored repeat of a method.
 type repeat struct {
@@ -418,22 +400,18 @@ func (r *Runner) measure(spec workloads.Spec, mach machine.Machine, methods []sa
 		for len(members) > 0 {
 			batch := members[:min(shared, len(members))]
 			members = members[len(batch):]
-			var runs []*sampling.Run
-			var errs []error
-			if refErr == nil {
-				runs, errs = collect(p, batch)
+			runs, err := []*sampling.Run(nil), refErr
+			if err == nil {
+				runs, err = collect(p, batch)
 			}
 			for j, mb := range batch {
 				rp := &reps[mb.method][mb.rep]
-				switch {
-				case refErr != nil:
-					rp.err = refErr
-				case errs[j] != nil:
-					rp.err = errs[j]
-				default:
-					rp.e, _, rp.err = scoreRun(p, runs[j], reference)
-					rp.samples, rp.sched = len(runs[j].Samples), runs[j].Sched
+				if err != nil {
+					rp.err = err
+					continue
 				}
+				rp.e, _, rp.err = scoreRun(p, runs[j], reference)
+				rp.samples, rp.sched = len(runs[j].Samples), runs[j].Sched
 			}
 		}
 	}

@@ -95,3 +95,19 @@ func TestGroupedRecordsEqualPerCell(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureCellsRejectsMixedGroup: MeasureCells measures one group, so
+// cells of two (workload, machine)s are refused before anything runs or
+// counts.
+func TestMeasureCellsRejectsMixedGroup(t *testing.T) {
+	spec := workloads.Kernels()[0]
+	m := sampling.Registry()[0]
+	r := NewRunner(SmallScale(), 1)
+	group := []Cell{{spec, machine.IvyBridge(), m}, {spec, machine.Westmere(), m}}
+	if _, err := r.MeasureCells(group, nil); err == nil {
+		t.Error("MeasureCells accepted cells of two machines as one group")
+	}
+	if s := r.StoreStats(); s.Measured != 0 {
+		t.Errorf("a refused group counted %d cells as measured", s.Measured)
+	}
+}

@@ -80,14 +80,14 @@ func (r *Runner) MeasureTenants(spec workloads.Spec, mach machine.Machine, m sam
 	n int, timeslice, switchCost uint64) (TenantMeasurement, error) {
 
 	timeslice, key := tenantCellKey(n, timeslice, m.Key)
-	ms, scheds, errs := r.measure(spec, mach, []sampling.Method{m}, 1, func(p *program.Program, batch []member) ([]*sampling.Run, []error) {
+	ms, scheds, errs := r.measure(spec, mach, []sampling.Method{m}, 1, func(p *program.Program, batch []member) ([]*sampling.Run, error) {
 		opt := r.collectOptions(batch[0].seed)
 		opt.SchedTimesliceCycles, opt.SchedSwitchCostCycles = timeslice, switchCost
 		runs, err := sched.Collect(slices.Repeat([]*program.Program{p}, n), mach, m, sched.Options{Options: opt})
 		if err != nil {
-			return nil, []error{err}
+			return nil, err
 		}
-		return runs[:1], []error{nil} // the measured tenant's run
+		return runs[:1], nil // the measured tenant's run
 	})
 	meas := ms[0]
 	return TenantMeasurement{
