@@ -400,7 +400,8 @@ func (r *Runner) measure(spec workloads.Spec, mach machine.Machine, methods []sa
 		for len(members) > 0 {
 			batch := members[:min(shared, len(members))]
 			members = members[len(batch):]
-			runs, err := []*sampling.Run(nil), refErr
+			var runs []*sampling.Run
+			err := refErr
 			if err == nil {
 				runs, err = collect(p, batch)
 			}
