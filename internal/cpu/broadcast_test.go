@@ -72,26 +72,31 @@ func TestBroadcastFansOut(t *testing.T) {
 	headroom("first ask", 10, 0, 700)
 	want("first ask", []int{1, 1, 1}, []int{0, 0, 0}, []int{0, 0, 0}, []uint64{0, 0, 0}, []int{0, 0, 0})
 
+	// A taken branch inside a stride reaches only the members that want
+	// branches.
+	bc.OnFastBranch(1, 2, isa.OpJmp)
+	want("stride branch", []int{1, 1, 1}, []int{0, 0, 0}, []int{0, 0, 0}, []uint64{0, 0, 0}, []int{0, 1, 0})
+
 	// Only the refusing member sees the taken branch retire; the others
 	// fold it, and b, which wants branches, also gets it as a branch.
 	bc.OnRetire(cpu.RetireEvent{Op: isa.OpJmp, Taken: true, Uops: 1})
-	want("event", []int{1, 1, 1}, []int{1, 0, 0}, []int{0, 0, 0}, []uint64{0, 0, 0}, []int{0, 1, 0})
+	want("event", []int{1, 1, 1}, []int{1, 0, 0}, []int{0, 0, 0}, []uint64{0, 0, 0}, []int{0, 2, 0})
 
 	// Only the spent member is asked again.
 	a.grant = 100
 	headroom("second ask", 20, 19, 700)
-	want("second ask", []int{2, 1, 1}, []int{1, 0, 0}, []int{0, 0, 0}, []uint64{0, 0, 0}, []int{0, 1, 0})
+	want("second ask", []int{2, 1, 1}, []int{1, 0, 0}, []int{0, 0, 0}, []uint64{0, 0, 0}, []int{0, 2, 0})
 
 	// A stride spends c's grant: c is asked again and first handed its
 	// folded retirement and the stride as one BulkRetire.
 	bc.BulkRetire(cpu.BulkCounts{Instrs: 19})
 	headroom("c spent", 30, 20, 700)
-	want("c spent", []int{2, 1, 2}, []int{1, 0, 0}, []int{0, 0, 1}, []uint64{0, 0, 20}, []int{0, 1, 0})
+	want("c spent", []int{2, 1, 2}, []int{1, 0, 0}, []int{0, 0, 1}, []uint64{0, 0, 20}, []int{0, 2, 0})
 
 	// A horizon at b's deadline asks b again, inside its grant.
 	b.deadline = 1400
 	headroom("b's deadline", 700, 20, 1400)
-	want("b's deadline", []int{2, 2, 2}, []int{1, 0, 0}, []int{0, 1, 1}, []uint64{0, 20, 20}, []int{0, 1, 0})
+	want("b's deadline", []int{2, 2, 2}, []int{1, 0, 0}, []int{0, 1, 1}, []uint64{0, 20, 20}, []int{0, 2, 0})
 
 	// Run end: RunFast flushes every member's pending counts, each as one
 	// stride of the whole run, since no member's grant ran out.
