@@ -9,13 +9,15 @@ import (
 	"pmutrust/internal/machine"
 	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
+	"pmutrust/internal/stats"
 	"pmutrust/internal/workloads"
 )
 
 // TestGroupedRecordsEqualPerCell: the cell path measures the misses of
 // one (workload, machine) as one group sharing executions, and its
-// records must equal those of per-cell Measure calls, under the fast
-// engine and both engines, at parallel 1 and N, cold and warm. Two
+// records must equal records built from unshared executions — one
+// MeasureOnce per cell and repeat seed, aggregated by hand — under the
+// fast engine and both engines, at parallel 1 and N, cold and warm. Two
 // repeats of every method make 14 members per supported group, more
 // than the 8 one execution takes at period 2000, so groups also split
 // across executions.
@@ -45,9 +47,20 @@ func TestGroupedRecordsEqualPerCell(t *testing.T) {
 	}
 	want := results.NewMemory()
 	for _, c := range cells {
-		m, err := ref.Measure(c.Workload, c.Machine, c.Method)
-		if err != nil {
-			t.Fatal(err)
+		m := Measurement{Workload: c.Workload.Name, Machine: c.Machine.Name, Method: c.Method.Key, Err: -1}
+		if _, ok := sampling.Resolve(c.Method, c.Machine); ok {
+			m.Supported = true
+			for rep := range scale.Repeats {
+				e, n, err := ref.MeasureOnce(c.Workload, c.Machine, c.Method, ref.repeatSeed(c.Workload, c.Machine, c.Method, rep))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep == 0 {
+					m.Samples = n
+				}
+				m.PerRepeat = append(m.PerRepeat, e)
+			}
+			m.Err = stats.Mean(m.PerRepeat)
 		}
 		rec := c.record(m)
 		rec.Identity = ref.CellIdentity(c)
