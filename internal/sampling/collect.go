@@ -323,48 +323,49 @@ func Collect(p *program.Program, mach machine.Machine, m Method, opt Options) (*
 
 // CollectCell is Collect for an already lowered cell — one built by
 // PrepareCell, or by hand to program the PMU outside the method registry
-// (the experiments' ablations). opt supplies the engine mode, the
-// instruction limit and the telemetry sink; the rest of it was lowered
-// into the cell.
+// (the experiments' ablations): the one-cell case of CollectCells.
 func CollectCell(p *program.Program, mach machine.Machine, cell Cell, opt Options) (*Run, error) {
-	run, err := RunEngines(opt.Engine, func(eng cpu.Engine) (*Run, error) {
-		var run [1]*Run
-		err := RunCells(p, mach, []Cell{cell}, run[:], opt, eng, nil)
-		return run[0], err
-	}, func(ref *Run, refErr error, got *Run, gotErr error) error {
-		if err := DiffOutcome(ref, refErr, got, gotErr); err != nil {
-			return fmt.Errorf("engine divergence on %s/%s/%s: %w", p.Name, mach.Name, cell.Requested.Key, err)
-		}
-		return nil
-	})
-	if err != nil {
-		// The run body keeps a failed run for the self-check; Collect's
-		// contract is a nil Run on error.
+	var run [1]*Run // a single run needs no heap slice
+	if err := collectInto(p, mach, []Cell{cell}, run[:], opt); err != nil {
 		return nil, err
 	}
-	return run, nil
+	return run[0], nil
 }
 
-// CollectCells is CollectCell for several lowered cells that share one
-// execution of p through RunCells: each run equals its cell's own
-// CollectCell run, since the broadcast is member-exact. Under EngineBoth
-// every cell's outcome is diffed. On error it returns no runs.
+// CollectCells collects several lowered cells that share one execution
+// of p through RunCells: each run equals its cell's own CollectCell run,
+// since the broadcast is member-exact. On error it returns no runs.
 func CollectCells(p *program.Program, mach machine.Machine, cells []Cell, opt Options) ([]*Run, error) {
-	runs, err := RunEngines(opt.Engine, func(eng cpu.Engine) ([]*Run, error) {
-		runs := make([]*Run, len(cells))
-		return runs, RunCells(p, mach, cells, runs, opt, eng, nil)
-	}, func(ref []*Run, refErr error, got []*Run, gotErr error) error {
+	runs := make([]*Run, len(cells))
+	if err := collectInto(p, mach, cells, runs, opt); err != nil {
+		return nil, err
+	}
+	return runs, nil
+}
+
+// collectInto is the body of CollectCell and CollectCells: it collects
+// cells into runs under opt's engine mode. opt supplies the engine mode,
+// the instruction limit and the telemetry sink; the rest of it was
+// lowered into the cells. Under EngineBoth the interpreter's reference
+// runs go to a slice of their own, and every cell's outcome is diffed.
+// The run body keeps failed runs for that self-check; the callers drop
+// them.
+func collectInto(p *program.Program, mach machine.Machine, cells []Cell, runs []*Run, opt Options) error {
+	_, err := RunEngines(opt.Engine, func(eng cpu.Engine) ([]*Run, error) {
+		if opt.Engine == EngineBoth && eng == cpu.EngineInterp {
+			ref := make([]*Run, len(cells))
+			return ref, RunCells(p, mach, cells, ref, opt, eng, nil)
+		}
+		return nil, RunCells(p, mach, cells, runs, opt, eng, nil)
+	}, func(ref []*Run, refErr error, _ []*Run, gotErr error) error {
 		for i := range cells {
-			if err := DiffOutcome(ref[i], refErr, got[i], gotErr); err != nil {
+			if err := DiffOutcome(ref[i], refErr, runs[i], gotErr); err != nil {
 				return fmt.Errorf("engine divergence on %s/%s/%s: %w", p.Name, mach.Name, cells[i].Requested.Key, err)
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
+	return err
 }
 
 // RunEngines runs one collection under an engine mode: run is called with
