@@ -310,7 +310,8 @@ func (w *Worker) runShard(p *Plan, r *experiments.Runner, shard int, lease *Leas
 
 	// Heartbeat at TTL/3 until the shard is finished; a failed or
 	// superseded heartbeat flips the stop flag the measure loop checks
-	// between cells. Each beat also observes its own scheduling lag and
+	// between groups, so a superseded worker may still append the rest
+	// of the group in hand. Each beat also observes its own scheduling lag and
 	// persists a snapshot, so a live worker's telemetry is visible to the
 	// coordinator's observability plane mid-shard.
 	var superseded atomic.Bool
