@@ -1,6 +1,9 @@
 // Command lbrdump collects LBR-method samples from a workload and dumps
 // raw stacks, decoded segments and the segment-length distribution — the
-// "effective number of instructions a sample corresponds to" of §5.1.
+// "effective number of instructions a sample corresponds to" of §5.1. The
+// samples are repeat 0 of the (workload, machine, lbr) grid cell, so the
+// accuracy error it prints is the one the tables print at the same scale,
+// period and seed.
 //
 // Usage:
 //
@@ -13,10 +16,10 @@ import (
 	"fmt"
 	"os"
 
+	"pmutrust/internal/experiments"
 	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
 	"pmutrust/internal/program"
-	"pmutrust/internal/ref"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/stats"
 	"pmutrust/internal/workloads"
@@ -44,6 +47,9 @@ func main() {
 }
 
 func run(workloadName, machineName string, scale float64, period uint64, nStacks int, seed uint64, callgraph bool) error {
+	if !(scale > 0) { // NaN too
+		return fmt.Errorf("scale must be positive, got %v", scale)
+	}
 	spec, err := workloads.ByName(workloadName)
 	if err != nil {
 		return err
@@ -56,8 +62,13 @@ func run(workloadName, machineName string, scale float64, period uint64, nStacks
 	if err != nil {
 		return err
 	}
-	p := spec.Build(scale)
-	run, err := sampling.Collect(p, mach, method, sampling.Options{PeriodBase: period, Seed: seed})
+	r := experiments.NewRunner(experiments.Scale{Workload: scale, PeriodBase: period, Repeats: 1}, seed)
+	errVal, run, err := r.MeasureOnce(spec, mach, method, r.RepeatSeed(spec, mach, method, 0))
+	if err != nil {
+		return err
+	}
+	p := r.Workload(spec)
+	reference, err := r.Reference(spec)
 	if err != nil {
 		return err
 	}
@@ -93,10 +104,6 @@ func run(workloadName, machineName string, scale float64, period uint64, nStacks
 	}
 	fmt.Printf("segment length (instructions): %s\n", sum.String())
 
-	reference, err := ref.Collect(p)
-	if err != nil {
-		return err
-	}
 	var estTotal float64
 	for _, v := range bp.InstrEstimate {
 		estTotal += v
@@ -104,6 +111,7 @@ func run(workloadName, machineName string, scale float64, period uint64, nStacks
 	fmt.Printf("estimated total instructions: %.0f (exact %d, ratio %.3f)\n",
 		estTotal, reference.NetInstructions,
 		estTotal/float64(reference.NetInstructions))
+	fmt.Printf("accuracy error: %.4f (paper metric, lower is better)\n", errVal)
 
 	if callgraph {
 		cg, err := lbr.BuildCallGraph(p, run)

@@ -1,6 +1,8 @@
 // Command pmuprof profiles one workload with one sampling method on one
 // machine and prints the resulting profile next to the exact reference —
-// the interactive view of what the experiment harness scores in bulk.
+// the interactive view of what the experiment harness scores in bulk. The
+// profile is repeat 0 of that grid cell, so at a table's scale, period and
+// seed the accuracy error it prints is the one the table prints.
 //
 // Usage:
 //
@@ -12,16 +14,17 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"pmutrust/internal/analysis"
 	"pmutrust/internal/cpu"
+	"pmutrust/internal/experiments"
 	"pmutrust/internal/lbr"
 	"pmutrust/internal/machine"
 	"pmutrust/internal/program"
-	"pmutrust/internal/ref"
 	"pmutrust/internal/report"
 	"pmutrust/internal/sampling"
 	"pmutrust/internal/telemetry"
@@ -49,7 +52,11 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	if err := run(*workloadName, *machineName, *methodKey, *scale, *period, *seed, *top, *blocks, *traceDepth); err != nil {
+	if *top < 0 {
+		fmt.Fprintf(os.Stderr, "pmuprof: -top must not be negative, got %d\n", *top)
+		os.Exit(2)
+	}
+	if err := run(os.Stdout, *workloadName, *machineName, *methodKey, *scale, *period, *seed, *top, *blocks, *traceDepth); err != nil {
 		fmt.Fprintf(os.Stderr, "pmuprof: %v\n", err)
 		os.Exit(1)
 	}
@@ -75,7 +82,11 @@ func fallbackLine(buckets map[string]uint64) string {
 	return strings.Join(parts, " ")
 }
 
-func run(workloadName, machineName, methodKey string, scale float64, period, seed uint64, top int, blocks bool, traceDepth int) error {
+// run profiles repeat 0 of the named cell and writes the report to w.
+func run(w io.Writer, workloadName, machineName, methodKey string, scale float64, period, seed uint64, top int, blocks bool, traceDepth int) error {
+	if !(scale > 0) { // NaN too
+		return fmt.Errorf("scale must be positive, got %v", scale)
+	}
 	spec, err := workloads.ByName(workloadName)
 	if err != nil {
 		return err
@@ -89,18 +100,17 @@ func run(workloadName, machineName, methodKey string, scale float64, period, see
 		return err
 	}
 
-	p := spec.Build(scale)
-	reference, err := ref.Collect(p)
-	if err != nil {
-		return err
-	}
+	r := experiments.NewRunner(experiments.Scale{Workload: scale, PeriodBase: period, Repeats: 1}, seed)
 	// The sink shares the experiment harness's telemetry counters, so the
 	// engine line below is computed by the same instrumentation the
 	// observability plane serves — no CLI-local accounting.
-	sink := &telemetry.Sink{}
-	run, err := sampling.Collect(p, mach, method, sampling.Options{
-		PeriodBase: period, Seed: seed, Telemetry: sink,
-	})
+	r.Telemetry = &telemetry.Sink{}
+	errVal, run, err := r.MeasureOnce(spec, mach, method, r.RepeatSeed(spec, mach, method, 0))
+	if err != nil {
+		return err
+	}
+	p := r.Workload(spec)
+	reference, err := r.Reference(spec)
 	if err != nil {
 		return err
 	}
@@ -110,23 +120,19 @@ func run(workloadName, machineName, methodKey string, scale float64, period, see
 		return err
 	}
 	if run.Method.UseLBRStack {
-		fmt.Printf("LBR decode: %d stacks, %d segments, %d malformed\n",
+		fmt.Fprintf(w, "LBR decode: %d stacks, %d segments, %d malformed\n",
 			ds.Stacks, ds.Segments, ds.Malformed)
 	}
 
-	errVal, err := analysis.AccuracyError(bp, reference)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("workload %s on %s via %s (resolved: event=%s mechanism=%s period=%d)\n",
+	fmt.Fprintf(w, "workload %s on %s via %s (resolved: event=%s mechanism=%s period=%d)\n",
 		spec.Name, mach, method.Key, run.Method.Event, run.Method.Precision, run.Period)
-	e := sink.Snapshot("").Engine
-	fmt.Printf("run: %d instructions (%d fast-path in %d strides, %d event-mode), %d cycles (IPC %.2f), %d samples, %d dropped PMIs\n",
+	e := r.Telemetry.Snapshot("").Engine
+	fmt.Fprintf(w, "run: %d instructions (%d fast-path in %d strides, %d event-mode), %d cycles (IPC %.2f), %d samples, %d dropped PMIs\n",
 		e.StrideInstrs+e.EventInstrs, e.StrideInstrs, e.Strides, e.EventInstrs,
 		run.CPU.Cycles, run.CPU.IPC(), len(run.Samples), run.DroppedPMIs)
-	fmt.Printf("engine: %d fallbacks (%s), %d fused pairs\n",
+	fmt.Fprintf(w, "engine: %d fallbacks (%s), %d fused pairs\n",
 		e.FallbackTotal, fallbackLine(e.Fallbacks), e.FusedPairs)
-	fmt.Printf("accuracy error: %.4f (paper metric, lower is better)\n\n", errVal)
+	fmt.Fprintf(w, "accuracy error: %.4f (paper metric, lower is better)\n\n", errVal)
 
 	// Function table: estimated vs exact.
 	fp := bp.ToFunctions()
@@ -159,10 +165,10 @@ func run(workloadName, machineName, methodKey string, scale float64, period, see
 			fmt.Sprintf("%5.2f", 100*refByFunc[id]/total),
 			fmt.Sprintf("%d", refPos[id]))
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 
 	agree := analysis.CompareRankings(rank, refRank, 10)
-	fmt.Printf("top-10 ranking: exact=%v overlap=%.0f%% kendall-tau=%.2f\n",
+	fmt.Fprintf(w, "top-10 ranking: exact=%v overlap=%.0f%% kendall-tau=%.2f\n",
 		agree.ExactOrder, 100*agree.SetOverlap, agree.KendallTau)
 
 	if traceDepth > 0 {
@@ -172,7 +178,7 @@ func run(workloadName, machineName, methodKey string, scale float64, period, see
 		if _, err := cpu.Run(p, mach.CPU, tr, 0); err != nil {
 			return err
 		}
-		fmt.Printf("last %d retirements (│ marks same-cycle retirement bursts):\n%s\n",
+		fmt.Fprintf(w, "last %d retirements (│ marks same-cycle retirement bursts):\n%s\n",
 			traceDepth, tr.Format(p))
 	}
 
@@ -187,7 +193,7 @@ func run(workloadName, machineName, methodKey string, scale float64, period, see
 				fmt.Sprintf("%.0f", bp.InstrEstimate[blk.ID]),
 				fmt.Sprintf("%d", reference.InstrCount[blk.ID]))
 		}
-		fmt.Println(bt.String())
+		fmt.Fprintln(w, bt.String())
 	}
 	return nil
 }

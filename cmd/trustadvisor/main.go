@@ -44,6 +44,9 @@ func main() {
 // run assesses the workload on the named machine (or on every machine)
 // and writes one assessment table per machine to w.
 func run(w io.Writer, workloadName, machineName string, scale float64, period, seed uint64, repeats int, allMachines bool) error {
+	if !(scale > 0) { // NaN too
+		return fmt.Errorf("scale must be positive, got %v", scale)
+	}
 	spec, err := workloads.ByName(workloadName)
 	if err != nil {
 		return err

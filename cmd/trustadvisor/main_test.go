@@ -39,6 +39,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&out, "Test40", "IvyBridge", 0.05, 0, 42, 1, false); err == nil || !strings.Contains(err.Error(), "zero period") {
 		t.Errorf("zero period: err = %v, want a zero-period error", err)
 	}
+	if err := run(&out, "Test40", "IvyBridge", 0, 1000, 42, 1, false); err == nil || !strings.Contains(err.Error(), "scale") {
+		t.Errorf("zero scale: err = %v, want a scale error", err)
+	}
 	if out.Len() != 0 {
 		t.Errorf("failed runs wrote output:\n%s", out.String())
 	}

@@ -110,6 +110,6 @@ func ExampleAssess() {
 	prog := spec.Build(0.05)
 	a, _ := pmutrust.Assess(prog, pmutrust.MagnyCours(),
 		pmutrust.AssessOptions{PeriodBase: 1000, Seed: 1, Repeats: 1})
-	fmt.Println(a.Best.Supported, a.Best.Method.Key != "classic")
+	fmt.Println(a.Best.Supported, a.Best.Method != "classic")
 	// Output: true true
 }

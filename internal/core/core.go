@@ -1,5 +1,5 @@
-// Package core composes the sampling, profiling and analysis machinery
-// into the paper's end product: a trust assessment for PMU-based profiles
+// Package core turns the experiment harness's measurements into the
+// paper's end product: a trust assessment for PMU-based profiles
 // of a given workload on a given machine, with a method recommendation
 // following §6.3 ("sample on a modern platform with support for precise
 // distributed events, while using a prime period ... for ultimate sampling
@@ -14,37 +14,22 @@ import (
 	"fmt"
 	"strings"
 
-	"pmutrust/internal/analysis"
-	"pmutrust/internal/lbr"
+	"pmutrust/internal/experiments"
 	"pmutrust/internal/machine"
 	"pmutrust/internal/program"
-	"pmutrust/internal/ref"
 	"pmutrust/internal/sampling"
-	"pmutrust/internal/stats"
+	"pmutrust/internal/workloads"
 )
 
 // Options controls an assessment.
 type Options struct {
 	// PeriodBase is the base sampling period in instructions.
 	PeriodBase uint64
-	// Seed seeds randomized methods; repeats use Seed, Seed+1, ...
+	// Seed is the base seed: repeat rep of a method draws the seed the
+	// accuracy grids draw for that cell (experiments.Runner.RepeatSeed).
 	Seed uint64
 	// Repeats averages each method over this many runs (default 3).
 	Repeats int
-}
-
-// MethodResult is one evaluated method.
-type MethodResult struct {
-	// Method is the registry method (pre-lowering).
-	Method sampling.Method
-	// Resolved is the method after lowering onto the machine.
-	Resolved sampling.Method
-	// Supported reports whether the machine can run the method at all.
-	Supported bool
-	// Err is the measured accuracy error (mean over repeats).
-	Err float64
-	// Samples is the sample count of the last repeat.
-	Samples int
 }
 
 // Assessment is the outcome of evaluating the full method registry.
@@ -53,10 +38,11 @@ type Assessment struct {
 	Workload string
 	// Machine is the platform assessed.
 	Machine machine.Machine
-	// Results holds one entry per registry method, in registry order.
-	Results []MethodResult
+	// Results holds one measurement per registry method, in registry
+	// order.
+	Results []experiments.Measurement
 	// Best is the supported method with the lowest error.
-	Best MethodResult
+	Best experiments.Measurement
 	// DefaultPenalty is err(classic)/err(best): how much accuracy a user
 	// of the default tool setup leaves on the table.
 	DefaultPenalty float64
@@ -65,7 +51,11 @@ type Assessment struct {
 	Recommendation string
 }
 
-// Assess evaluates every registry method for p on mach.
+// Assess evaluates every registry method for p on mach. It measures the
+// one-row grid (p × mach × the registry) with experiments.Runner.Sweep,
+// so each error is the one the accuracy tables print for that cell at
+// the same scale, period, seed and repeats, and the methods share
+// executions as the grids' do.
 func Assess(p *program.Program, mach machine.Machine, opt Options) (*Assessment, error) {
 	if opt.PeriodBase == 0 {
 		return nil, fmt.Errorf("core: zero period base")
@@ -73,51 +63,30 @@ func Assess(p *program.Program, mach machine.Machine, opt Options) (*Assessment,
 	if opt.Repeats <= 0 {
 		opt.Repeats = 3
 	}
-	reference, err := ref.Collect(p)
+	r := experiments.NewRunner(experiments.Scale{Workload: 1, PeriodBase: opt.PeriodBase, Repeats: opt.Repeats}, opt.Seed)
+	// p is already built at its scale, so the spec ignores the Runner's.
+	spec := workloads.Spec{Name: p.Name, Build: func(float64) *program.Program { return p }}
+	ms, err := r.Sweep(experiments.Grid{
+		Workloads: []workloads.Spec{spec},
+		Machines:  []machine.Machine{mach},
+		Methods:   sampling.Registry(),
+	}, experiments.SweepOptions{})
 	if err != nil {
-		return nil, fmt.Errorf("core: reference: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	a := &Assessment{Workload: p.Name, Machine: mach}
+	a := &Assessment{Workload: p.Name, Machine: mach, Results: ms}
 	var classicErr float64
-	for _, m := range sampling.Registry() {
-		mr := MethodResult{Method: m}
-		resolved, ok := sampling.Resolve(m, mach)
-		if !ok {
-			mr.Err = -1
-			a.Results = append(a.Results, mr)
+	for _, m := range ms {
+		if !m.Supported {
 			continue
 		}
-		mr.Supported = true
-		mr.Resolved = resolved
-		var errs []float64
-		for rep := 0; rep < opt.Repeats; rep++ {
-			run, err := sampling.Collect(p, mach, m, sampling.Options{
-				PeriodBase: opt.PeriodBase,
-				Seed:       opt.Seed + uint64(rep),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: %s: %w", m.Key, err)
-			}
-			bp, _, err := lbr.Profile(p, run)
-			if err != nil {
-				return nil, err
-			}
-			e, err := analysis.AccuracyError(bp, reference)
-			if err != nil {
-				return nil, err
-			}
-			errs = append(errs, e)
-			mr.Samples = len(run.Samples)
+		if m.Method == "classic" {
+			classicErr = m.Err
 		}
-		mr.Err = stats.Mean(errs)
-		if m.Key == "classic" {
-			classicErr = mr.Err
+		if !a.Best.Supported || m.Err < a.Best.Err {
+			a.Best = m
 		}
-		if !a.Best.Supported || mr.Err < a.Best.Err {
-			a.Best = mr
-		}
-		a.Results = append(a.Results, mr)
 	}
 	if a.Best.Supported && a.Best.Err > 0 {
 		a.DefaultPenalty = classicErr / a.Best.Err
@@ -131,7 +100,7 @@ func Assess(p *program.Program, mach machine.Machine, opt Options) (*Assessment,
 func recommend(a *Assessment) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "On %s, the most trustworthy method for %s is %q (error %.4f).",
-		a.Machine.Name, a.Workload, a.Best.Method.Key, a.Best.Err)
+		a.Machine.Name, a.Workload, a.Best.Method, a.Best.Err)
 	if a.DefaultPenalty > 1.2 {
 		fmt.Fprintf(&b, " The default tool setup (classic sampling) carries %.1fx that error.",
 			a.DefaultPenalty)
@@ -158,17 +127,21 @@ func recommend(a *Assessment) string {
 func (a *Assessment) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trust assessment: %s on %s\n", a.Workload, a.Machine)
-	for _, mr := range a.Results {
+	for _, m := range a.Results {
 		marker := " "
-		if mr.Supported && mr.Method.Key == a.Best.Method.Key {
+		if m.Supported && m.Method == a.Best.Method {
 			marker = "*"
 		}
-		if !mr.Supported {
-			fmt.Fprintf(&b, "%s %-20s unsupported\n", marker, mr.Method.Key)
+		if !m.Supported {
+			fmt.Fprintf(&b, "%s %-20s unsupported\n", marker, m.Method)
 			continue
 		}
+		// Results hold registry keys, and a supported one resolves on
+		// a.Machine, so both lookups succeed.
+		method, _ := sampling.MethodByKey(m.Method)
+		resolved, _ := sampling.Resolve(method, a.Machine)
 		fmt.Fprintf(&b, "%s %-20s err %.4f  (%d samples, mechanism %s)\n",
-			marker, mr.Method.Key, mr.Err, mr.Samples, mr.Resolved.Precision)
+			marker, m.Method, m.Err, m.Samples, resolved.Precision)
 	}
 	b.WriteString(a.Recommendation)
 	b.WriteString("\n")

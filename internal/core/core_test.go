@@ -1,10 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"pmutrust/internal/experiments"
 	"pmutrust/internal/machine"
+	"pmutrust/internal/sampling"
 	"pmutrust/internal/workloads"
 )
 
@@ -19,14 +22,14 @@ func TestAssessIvyBridge(t *testing.T) {
 	}
 	for _, mr := range a.Results {
 		if !mr.Supported {
-			t.Errorf("%s unsupported on IvyBridge", mr.Method.Key)
+			t.Errorf("%s unsupported on IvyBridge", mr.Method)
 		}
 		if mr.Err < 0 || mr.Err > 2 {
-			t.Errorf("%s err out of range: %v", mr.Method.Key, mr.Err)
+			t.Errorf("%s err out of range: %v", mr.Method, mr.Err)
 		}
 	}
 	// The best method on IVB must be one of the advanced ones.
-	if a.Best.Method.Key == "classic" {
+	if a.Best.Method == "classic" {
 		t.Error("classic assessed as best on IvyBridge")
 	}
 	if a.DefaultPenalty <= 1 {
@@ -93,5 +96,33 @@ func TestAssessRepeatsDefault(t *testing.T) {
 	}
 	if a.Best.Samples == 0 {
 		t.Error("no samples recorded")
+	}
+}
+
+// TestAssessIsTheGridRow pins "one cell, one number": assessing a
+// registered workload yields, method by method, the measurements of the
+// one-row accuracy grid at the same scale, period, seed and repeats.
+func TestAssessIsTheGridRow(t *testing.T) {
+	const scale, period, seed, repeats = 0.05, 1000, 5, 2
+	spec, err := workloads.ByName("G4Box")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := machine.Westmere()
+	a, err := Assess(spec.Build(scale), mach, Options{PeriodBase: period, Seed: seed, Repeats: repeats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := experiments.NewRunner(experiments.Scale{Workload: scale, PeriodBase: period, Repeats: repeats}, seed)
+	want, err := r.Sweep(experiments.Grid{
+		Workloads: []workloads.Spec{spec},
+		Machines:  []machine.Machine{mach},
+		Methods:   sampling.Registry(),
+	}, experiments.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Results, want) {
+		t.Errorf("Assess results differ from the grid row:\n got %+v\nwant %+v", a.Results, want)
 	}
 }

@@ -232,23 +232,25 @@ func (r *Runner) Reference(spec workloads.Spec) (*ref.Profile, error) {
 	return e.rp, e.err
 }
 
-// repeatSeed derives the seed for one repeat of one grid cell. It is a
+// RepeatSeed derives the seed for one repeat of one grid cell. It is a
 // pure function of (base seed, cell identity, repeat), which is what
-// makes sweep results independent of scheduling.
-func (r *Runner) repeatSeed(spec workloads.Spec, mach machine.Machine, m sampling.Method, rep int) uint64 {
+// makes sweep results independent of scheduling, and what lets a tool
+// that measures one repeat of a named cell (MeasureOnce) print the
+// grid's number for it.
+func (r *Runner) RepeatSeed(spec workloads.Spec, mach machine.Machine, m sampling.Method, rep int) uint64 {
 	return stats.DeriveSeed(r.Seed, spec.Name, mach.Name, m.Key, strconv.Itoa(rep))
 }
 
 // MeasureOnce runs one (workload, machine, method) measurement with one
-// seed and returns the accuracy error and the sample count.
-func (r *Runner) MeasureOnce(spec workloads.Spec, mach machine.Machine, m sampling.Method, seed uint64) (float64, int, error) {
+// seed and returns the accuracy error and the run.
+func (r *Runner) MeasureOnce(spec workloads.Spec, mach machine.Machine, m sampling.Method, seed uint64) (float64, *sampling.Run, error) {
 	e, run, _, err := r.score(spec, func(p *program.Program) (*sampling.Run, error) {
 		return sampling.Collect(p, mach, m, r.collectOptions(seed))
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, nil, err
 	}
-	return e, len(run.Samples), nil
+	return e, run, nil
 }
 
 // collectOptions returns the sampling options of one collection at this
@@ -317,7 +319,7 @@ func (r *Runner) sharedMembers() int {
 
 // Measure runs the configured number of repeats and averages: the
 // one-method case of measureShared. Each repeat uses a seed derived from
-// the cell identity (see repeatSeed); Samples records the count of the
+// the cell identity (see RepeatSeed); Samples records the count of the
 // first successful repeat, so the field is well-defined under
 // concurrency. When some repeats fail, the successful ones are still
 // aggregated into the returned Measurement and the per-repeat failures
@@ -347,7 +349,7 @@ func (r *Runner) measureShared(spec workloads.Spec, mach machine.Machine, method
 }
 
 // member is one repeat of one method of a measure call: the unit an
-// execution carries. Repeat seeds are pure (repeatSeed), so every member
+// execution carries. Repeat seeds are pure (RepeatSeed), so every member
 // is known before anything executes.
 type member struct {
 	method, rep int
@@ -391,7 +393,7 @@ func (r *Runner) measure(spec workloads.Spec, mach machine.Machine, methods []sa
 		out[k].Supported = true
 		reps[k] = make([]repeat, r.Scale.Repeats)
 		for rep := range reps[k] {
-			members = append(members, member{k, rep, r.repeatSeed(spec, mach, m, rep)})
+			members = append(members, member{k, rep, r.RepeatSeed(spec, mach, m, rep)})
 		}
 	}
 	if len(members) > 0 {

@@ -61,11 +61,11 @@ func TestFreqModeMassConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = p
-	e, n, err := r.MeasureOnce(spec, machine.IvyBridge(), freq, 3)
+	e, run, err := r.MeasureOnce(spec, machine.IvyBridge(), freq, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
+	if len(run.Samples) == 0 {
 		t.Fatal("no samples")
 	}
 	if e < 0 || e > 2 {

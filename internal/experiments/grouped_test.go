@@ -51,12 +51,12 @@ func TestGroupedRecordsEqualPerCell(t *testing.T) {
 		if _, ok := sampling.Resolve(c.Method, c.Machine); ok {
 			m.Supported = true
 			for rep := range scale.Repeats {
-				e, n, err := ref.MeasureOnce(c.Workload, c.Machine, c.Method, ref.repeatSeed(c.Workload, c.Machine, c.Method, rep))
+				e, run, err := ref.MeasureOnce(c.Workload, c.Machine, c.Method, ref.RepeatSeed(c.Workload, c.Machine, c.Method, rep))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if rep == 0 {
-					m.Samples = n
+					m.Samples = len(run.Samples)
 				}
 				m.PerRepeat = append(m.PerRepeat, e)
 			}

@@ -109,7 +109,7 @@ func TestRepeatSeedsNoCollision(t *testing.T) {
 		for _, mach := range machine.All() {
 			for _, m := range sampling.Registry() {
 				for rep := 0; rep < r.Scale.Repeats; rep++ {
-					s := r.repeatSeed(spec, mach, m, rep)
+					s := r.RepeatSeed(spec, mach, m, rep)
 					id := spec.Name + "/" + mach.Name + "/" + m.Key
 					if prev, dup := seen[s]; dup {
 						t.Fatalf("seed collision: %s rep %d and %s share %#x", id, rep, prev, s)
@@ -232,11 +232,11 @@ func TestMeasureSamplesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n0, err := r.MeasureOnce(spec, mach, m, r.repeatSeed(spec, mach, m, 0))
+	_, run0, err := r.MeasureOnce(spec, mach, m, r.RepeatSeed(spec, mach, m, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meas.Samples != n0 {
-		t.Errorf("Samples = %d, repeat-0 count = %d", meas.Samples, n0)
+	if meas.Samples != len(run0.Samples) {
+		t.Errorf("Samples = %d, repeat-0 count = %d", meas.Samples, len(run0.Samples))
 	}
 }

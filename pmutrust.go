@@ -409,7 +409,10 @@ func RefFunctionRanking(r *ReferenceProfile) []int {
 }
 
 // Assess evaluates every sampling method for prog on mach and returns the
-// measured errors plus a machine-specific method recommendation.
+// measured errors plus a machine-specific method recommendation. The
+// errors are the accuracy grid's cells for prog's row at the options'
+// period, seed and repeats: a registered workload built at a table's
+// scale reads the table's numbers.
 func Assess(prog *Program, mach Machine, opt AssessOptions) (*Assessment, error) {
 	return core.Assess(prog, mach, opt)
 }
